@@ -7,10 +7,11 @@ resource.  These benches record what that fidelity costs: the wall time of
 one simulated training step under each engine and their ratio, plus the
 full congestion-study grid (the artifact CI pins against its golden).
 
-The recorded ``network_vs_analytic_slowdown`` is informational -- there is
-no acceptance floor; the engine trades simulation speed for routed-link
-fidelity by design.  Only the generic mean-latency threshold of
-``scripts/check_bench_regression.py`` gates catastrophic blowups.
+The engine trades simulation speed for routed-link fidelity by design,
+but its per-task overhead is held: ``scripts/check_bench_regression.py``
+keeps the recorded ``network_vs_analytic_slowdown`` under a 2.8x ceiling
+(self-relative, both engines timed in the same process), next to the
+generic mean-latency threshold.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ path), ``warm_vs_cold_speedup`` >= 10x (the service's warm requests over
 a cold CLI run) and ``deep_dp_speedup`` >= 10x (the memoized chain DP
 over the cold layer loop on the 1024-block transformer) -- so none can
 silently fall below its bar even if it stays self-consistent between
-runs.
+runs.  Recorded slowdowns are held under ceilings the same way:
+``network_vs_analytic_slowdown`` <= 2.8x (the network engine over the
+analytic engine on one AlexNet step, 16 accelerators, H tree).
 
 Both sides accept either the full ``pytest-benchmark`` JSON format or the
 slim summary baseline written by ``scripts/slim_bench_baseline.py`` (the
@@ -29,7 +31,8 @@ meaningful on hardware comparable to the machine that produced it.  On a
 different machine, regenerate the baseline once (the pytest command above
 with ``--benchmark-json=BENCH_search.json``) and compare subsequent runs
 against that.  The ``speedup_vs_reference`` floor is self-relative (both
-paths run in the same process) and holds on any machine.
+paths run in the same process) and holds on any machine, as does the
+``network_vs_analytic_slowdown`` ceiling.
 """
 
 from __future__ import annotations
@@ -61,6 +64,35 @@ SPEEDUP_FLOORS = {
     "hier_compiled_speedup": 2.0,
     "hier_parallel_speedup": 2.0,
 }
+
+#: Ceilings for slowdowns recorded in ``benchmark.extra_info``, enforced
+#: exactly like the floors (baseline-recorded keys must be present; a
+#: current-only benchmark is checked too).
+SLOWDOWN_CEILINGS = {
+    # One AlexNet step (16 accelerators, H tree) on the network engine
+    # over the analytic engine, both timed in-process by
+    # bench_network_sim.py::test_network_step_alexnet.  Self-relative, so
+    # it holds on any machine; it keeps the per-task event-engine and
+    # route-resolution savings from eroding.
+    "network_vs_analytic_slowdown": 2.8,
+}
+
+
+def limit_of(key: str) -> tuple[str, float]:
+    """``("floor", bound)`` or ``("ceiling", bound)`` of a recorded key."""
+    if key in SPEEDUP_FLOORS:
+        return "floor", SPEEDUP_FLOORS[key]
+    return "ceiling", SLOWDOWN_CEILINGS[key]
+
+
+def limit_failure(key: str, value: float) -> str | None:
+    """Why a recorded ``extra_info`` value breaks its floor or ceiling."""
+    kind, bound = limit_of(key)
+    if kind == "floor" and value < bound:
+        return f"{key} fell to {value:.1f}x (floor {bound:.0f}x)"
+    if kind == "ceiling" and value > bound:
+        return f"{key} rose to {value:.2f}x (ceiling {bound:.1f}x)"
+    return None
 
 
 def load_benchmarks(path: str, role: str) -> dict[str, dict]:
@@ -144,38 +176,35 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{status:>10}  {name}: {base_mean * 1e3:.3f} ms -> {new_mean * 1e3:.3f} ms ({ratio:.2f}x)")
 
         # The baseline defines which benchmarks must carry a measured
-        # speedup: dropping the extra_info in a refactor must not silently
-        # disable the floor check.
-        for key, floor in SPEEDUP_FLOORS.items():
+        # ratio: dropping the extra_info in a refactor must not silently
+        # disable the floor or ceiling check.
+        for key in (*SPEEDUP_FLOORS, *SLOWDOWN_CEILINGS):
             if baseline[name].get("extra_info", {}).get(key) is None:
                 continue
-            speedup = current[name].get("extra_info", {}).get(key)
-            if speedup is None:
+            value = current[name].get("extra_info", {}).get(key)
+            if value is None:
                 failures.append(
                     f"{name}: baseline records {key} but the current run "
-                    "does not — the floor check was skipped"
+                    f"does not — the {limit_of(key)[0]} check was skipped"
                 )
-            elif speedup < floor:
-                failures.append(
-                    f"{name}: {key} fell to {speedup:.1f}x "
-                    f"(floor {floor:.0f}x)"
-                )
+            elif (failure := limit_failure(key, value)) is not None:
+                failures.append(f"{name}: {failure}")
 
     # Benchmarks only the current run recorded (e.g. the numba-gated
     # compiled-kernel benches on a machine whose committed baseline was
     # regenerated without numba) have no latency baseline, but their
-    # self-relative speedup floors still bind.
+    # self-relative floors and ceilings still bind.
     for name in sorted(set(current) - set(baseline)):
-        for key, floor in SPEEDUP_FLOORS.items():
-            speedup = current[name].get("extra_info", {}).get(key)
-            if speedup is None:
+        for key in (*SPEEDUP_FLOORS, *SLOWDOWN_CEILINGS):
+            value = current[name].get("extra_info", {}).get(key)
+            if value is None:
                 continue
-            if speedup < floor:
-                failures.append(
-                    f"{name}: {key} fell to {speedup:.1f}x (floor {floor:.0f}x)"
-                )
+            failure = limit_failure(key, value)
+            if failure is not None:
+                failures.append(f"{name}: {failure}")
             else:
-                print(f"        ok  {name}: {key} {speedup:.1f}x (floor {floor:.0f}x)")
+                kind, bound = limit_of(key)
+                print(f"        ok  {name}: {key} {value:.1f}x ({kind} {bound:g}x)")
 
     missing = sorted(set(baseline) - set(current))
     for name in missing:

@@ -876,11 +876,29 @@ class CostTable:
         to the block that contains its destination (the entering cut
         vertex's own incoming edges were settled by the previous block).
         """
-        return [
-            (edge_index, source - block_start, destination - block_start)
-            for edge_index, (source, destination) in enumerate(self.edges)
-            if block_start < destination <= block_end
-        ]
+        edges = self.edges
+        local = []
+        for edge_index in self._edges_into(block_start, block_end):
+            source, destination = edges[edge_index]
+            local.append((edge_index, source - block_start, destination - block_start))
+        return local
+
+    @functools.cached_property
+    def _edges_by_destination(self) -> dict[int, list[int]]:
+        """Edge indices bucketed by destination layer, ascending per bucket."""
+        buckets: dict[int, list[int]] = {}
+        for edge_index, (_, destination) in enumerate(self.edges):
+            buckets.setdefault(destination, []).append(edge_index)
+        return buckets
+
+    def _edges_into(self, start: int, end: int) -> list[int]:
+        """Ascending indices of the edges whose destination is in ``(start, end]``."""
+        buckets = self._edges_by_destination
+        return sorted(
+            edge_index
+            for destination in range(start + 1, end + 1)
+            for edge_index in buckets.get(destination, ())
+        )
 
     def _detect_periodic_blocks(
         self, blocks: list[tuple[int, int]]
@@ -986,11 +1004,7 @@ class CostTable:
         period_start = blocks[index - period][0]
         period_end = blocks[index - 1][1]
         intra_period = self.intra[period_start + 1 : period_end + 1]
-        edge_indices = [
-            edge_index
-            for edge_index, (_, destination) in enumerate(self.edges)
-            if period_start < destination <= period_end
-        ]
+        edge_indices = self._edges_into(period_start, period_end)
         inter_period = self.inter[edge_indices]
         block_max = max(
             float(np.abs(intra_period).max()),

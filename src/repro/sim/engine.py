@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 from typing import Dict, Iterable, List
 
 
@@ -27,9 +26,12 @@ class Resource:
 
     ``available_at`` tracks the simulated time at which the resource becomes
     free; tasks claiming the resource execute back to back in the order the
-    engine starts them.  A plain ``__slots__`` class (identity-hashed, like
-    the registry entries they are): simulations create one task graph per
-    sweep point, so attribute access and allocation are on the hot path.
+    engine starts them.  Create resources through
+    :meth:`EventDrivenEngine.resource`: every run starts by resetting the
+    registry's resources to free at time zero.  A plain ``__slots__`` class
+    (identity-hashed, like the registry entries they are): simulations
+    create one task graph per sweep point, so attribute access and
+    allocation are on the hot path.
     """
 
     __slots__ = ("name", "available_at")
@@ -58,9 +60,16 @@ class Task:
     tags:
         Free-form key/value metadata (layer, phase, level, energy, ...)
         carried through to the schedule for reporting.
+    start, end:
+        Simulated times set by the most recent :meth:`EventDrivenEngine.run`.
+    index:
+        Position of the task in its engine (``-1`` until added); the
+        engine's per-run state is kept in flat lists indexed by it.
     """
 
-    __slots__ = ("name", "duration", "resources", "deps", "tags", "start", "end")
+    __slots__ = (
+        "name", "duration", "resources", "deps", "tags", "start", "end", "index"
+    )
 
     def __init__(
         self,
@@ -71,6 +80,7 @@ class Task:
         tags: dict | None = None,
         start: float | None = None,
         end: float | None = None,
+        index: int = -1,
     ) -> None:
         self.name = name
         self.duration = duration
@@ -79,12 +89,13 @@ class Task:
         self.tags = {} if tags is None else tags
         self.start = start
         self.end = end
+        self.index = index
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(name={self.name!r}, duration={self.duration!r})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ScheduledTask:
     """Immutable record of one task's placement in the final schedule."""
 
@@ -96,6 +107,13 @@ class ScheduledTask:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+_new_record = object.__new__
+_set_record_name = ScheduledTask.name.__set__
+_set_record_start = ScheduledTask.start.__set__
+_set_record_end = ScheduledTask.end.__set__
+_set_record_tags = ScheduledTask.tags.__set__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,10 +155,8 @@ class EventDrivenEngine:
 
     def __init__(self) -> None:
         self._tasks: List[Task] = []
-        self._task_set: set[Task] = set()
         self._names: set[str] = set()
         self._resources: Dict[str, Resource] = {}
-        self._counter = itertools.count()
 
     # ------------------------------------------------------------------
     # Graph construction.
@@ -160,26 +176,39 @@ class EventDrivenEngine:
         deps: Iterable[Task] = (),
         tags: dict | None = None,
     ) -> Task:
-        """Add one task to the graph and return its handle."""
-        if duration < 0:
+        """Add one task to the graph and return its handle.
+
+        Dependencies must be tasks of this engine; since they must exist
+        before their dependants, the graph is acyclic by construction.
+        """
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"task {name!r}: duration must be non-negative")
-        if name in self._names:
+        names = self._names
+        if name in names:
             raise ValueError(f"duplicate task name {name!r}")
-        task = Task(
-            name=name,
-            duration=float(duration),
-            resources=tuple(resources),
-            deps=tuple(deps),
-            tags=dict(tags or {}),
-        )
-        for dep in task.deps:
-            if dep not in self._task_set:
+        tasks = self._tasks
+        deps = tuple(deps)
+        for dep in deps:
+            # A task is known iff it sits at its own index: a foreign
+            # task's index points past the list or at a different task.
+            try:
+                known = tasks[dep.index] is dep
+            except IndexError:
+                known = False
+            if not known:
                 raise SimulationError(
                     f"task {name!r} depends on unknown task {dep.name!r}"
                 )
-        self._tasks.append(task)
-        self._task_set.add(task)
-        self._names.add(name)
+        task = Task(
+            name,
+            float(duration),
+            tuple(resources),
+            deps,
+            dict(tags) if tags else {},
+            index=len(tasks),
+        )
+        tasks.append(task)
+        names.add(name)
         return task
 
     def add_microbatched_task(
@@ -226,63 +255,75 @@ class EventDrivenEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> Schedule:
-        """Schedule every task and return the resulting :class:`Schedule`."""
-        remaining_deps: Dict[Task, int] = {
-            task: len(task.deps) for task in self._tasks
-        }
-        dependants: Dict[Task, List[Task]] = {task: [] for task in self._tasks}
-        for task in self._tasks:
-            for dep in task.deps:
-                dependants[dep].append(task)
+        """Schedule every task and return the resulting :class:`Schedule`.
 
-        # ready_at[task] = simulated time at which all deps were satisfied.
-        ready_queue: List[tuple[float, int, Task]] = []
-        for task in self._tasks:
-            if remaining_deps[task] == 0:
-                heapq.heappush(ready_queue, (0.0, next(self._counter), task))
+        Each run starts from scratch (registry resources free at time zero,
+        task times cleared), so calling it again returns the same schedule.
+        """
+        tasks = self._tasks
+        for resource in self._resources.values():
+            resource.available_at = 0.0
+        # Flat per-run state indexed by ``Task.index``.
+        pending: List[int] = []
+        dependants: List[List[int]] = [[] for _ in tasks]
+        for index, task in enumerate(tasks):
+            task.start = task.end = None
+            deps = task.deps
+            pending.append(len(deps))
+            for dep in deps:
+                dependants[dep.index].append(index)
+        records: list = [None] * len(tasks)
 
-        completion_events: List[tuple[float, int, Task]] = []
-        completed = 0
-
-        while ready_queue or completion_events:
-            # Start every ready task whose resources allow it; because
-            # resources serialise work by bumping ``available_at`` we can
-            # start tasks eagerly in ready order.
-            while ready_queue:
-                ready_time, _, task = heapq.heappop(ready_queue)
+        # Completion events pop in nondecreasing time (a task never ends
+        # before the event that readied it), so the dependency completing
+        # last has the latest end: a task becomes ready exactly when its
+        # last dependency's completion event pops, at that event's time.
+        # Every task made ready by one event therefore shares one ready
+        # time, and starting them in the order they became ready is the
+        # FIFO order of a (ready time, arrival) queue.  Resources serialise
+        # work by bumping ``available_at``, so tasks start eagerly.
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        completions: List[tuple[float, int, int]] = []
+        started = 0
+        ready_time = 0.0
+        ready = [index for index, count in enumerate(pending) if not count]
+        while True:
+            for index in ready:
+                task = tasks[index]
                 start = ready_time
-                for resource in task.resources:
-                    start = max(start, resource.available_at)
+                resources = task.resources
+                for resource in resources:
+                    if resource.available_at > start:
+                        start = resource.available_at
+                end = start + task.duration
+                for resource in resources:
+                    resource.available_at = end
                 task.start = start
-                task.end = start + task.duration
-                for resource in task.resources:
-                    resource.available_at = task.end
-                heapq.heappush(
-                    completion_events, (task.end, next(self._counter), task)
-                )
-
-            if not completion_events:
+                task.end = end
+                # Frozen-dataclass construction costs a setattr call per
+                # field; filling the slots directly is the same record.
+                record = _new_record(ScheduledTask)
+                _set_record_name(record, task.name)
+                _set_record_start(record, start)
+                _set_record_end(record, end)
+                _set_record_tags(record, task.tags)
+                records[index] = record
+                heappush(completions, (end, started, index))
+                started += 1
+            if not completions:
                 break
-            end_time, _, finished = heapq.heappop(completion_events)
-            completed += 1
+            ready_time, _, finished = heappop(completions)
+            ready.clear()
             for dependant in dependants[finished]:
-                remaining_deps[dependant] -= 1
-                if remaining_deps[dependant] == 0:
-                    ready_at = max(
-                        dep.end for dep in dependant.deps if dep.end is not None
-                    )
-                    heapq.heappush(
-                        ready_queue, (ready_at, next(self._counter), dependant)
-                    )
+                pending[dependant] -= 1
+                if not pending[dependant]:
+                    ready.append(dependant)
 
-        if completed != len(self._tasks):
-            unscheduled = [t.name for t in self._tasks if t.end is None]
+        if started != len(tasks):
+            # Only reachable when ``deps`` were rewired after add_task.
+            unscheduled = [t.name for t in tasks if t.end is None]
             raise SimulationError(
                 f"task graph contains a dependency cycle; unscheduled tasks: {unscheduled}"
             )
-
-        scheduled = tuple(
-            ScheduledTask(name=t.name, start=t.start, end=t.end, tags=t.tags)
-            for t in self._tasks
-        )
-        return Schedule(tasks=scheduled)
+        return Schedule(tasks=tuple(records))

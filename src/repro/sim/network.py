@@ -79,23 +79,31 @@ class _PairPlan:
     size).  The per-link byte load of a ``per_pair``-byte exchange is
     ``count * per_pair / num_flows`` (each flow carries an equal share,
     both directions traverse the same undirected links).
+
+    ``bottlenecks`` keeps only the heaviest flow count per distinct
+    bandwidth.  For a non-negative load, ``count * per_flow / bandwidth``
+    is nondecreasing in ``count`` at a fixed bandwidth (IEEE multiply and
+    divide round monotonically), so the maximum over these candidates is
+    the maximum over every link, bit for bit.
     """
 
-    __slots__ = ("link_loads", "num_flows")
+    __slots__ = ("link_loads", "num_flows", "bottlenecks")
 
     def __init__(
         self, link_loads: tuple[tuple[str, float, int], ...], num_flows: int
     ) -> None:
         self.link_loads = link_loads
         self.num_flows = num_flows
+        heaviest: dict[float, int] = {}
+        for _, bandwidth, count in link_loads:
+            if count > heaviest.get(bandwidth, 0):
+                heaviest[bandwidth] = count
+        self.bottlenecks = tuple(heaviest.items())
 
     def duration(self, per_pair_bytes: float) -> float:
-        """Bottleneck transfer time of a ``per_pair_bytes`` exchange."""
+        """Bottleneck transfer time of a ``per_pair_bytes`` (>= 0) exchange."""
         per_flow = per_pair_bytes / self.num_flows
-        return max(
-            count * per_flow / bandwidth
-            for _, bandwidth, count in self.link_loads
-        )
+        return max([count * per_flow / bandwidth for bandwidth, count in self.bottlenecks])
 
 
 def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
@@ -177,6 +185,14 @@ def _run_network_step(
     if num_levels:
         plans = flow_plans(topology)
         level_hops = [topology.average_hops(level) for level in range(num_levels)]
+        # Each boundary's link resources, resolved once per step.
+        plan_resources = [
+            [
+                tuple(engine.resource(key) for key, _, _ in plan.link_loads)
+                for plan in level_plans
+            ]
+            for level_plans in plans
+        ]
 
     compute_energy = 0.0
     sram_energy = 0.0
@@ -243,8 +259,9 @@ def _run_network_step(
             )
             firsts: list[Task] = []
             lasts: list[Task] = []
+            level_plans = plans[level]
+            level_resources = plan_resources[level]
             for pair_index in range(num_pairs):
-                plan = plans[level][pair_index]
                 if prev_level is None:
                     task_deps = chain_deps
                 else:
@@ -256,11 +273,9 @@ def _run_network_step(
                     )
                 first, last = engine.add_microbatched_task(
                     f"{name}/L{level}/p{pair_index}",
-                    plan.duration(per_pair),
+                    level_plans[pair_index].duration(per_pair),
                     chunks,
-                    resources=tuple(
-                        engine.resource(key) for key, _, _ in plan.link_loads
-                    ),
+                    resources=level_resources[pair_index],
                     deps=task_deps,
                     tags={
                         "phase": phase,

@@ -19,6 +19,8 @@ numba is present.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,43 @@ class TestDagRepeatedBlockMemoization:
         cold = cost_table.dp_partition(memoize=False)
         assert memoized.communication_bytes == cold.communication_bytes
         assert memoized.assignment.choices == cold.assignment.choices
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=st.one_of(periodic_residual_tables(), random_dag_tables()))
+    def test_bucketed_block_edges_equal_the_full_edge_scan(self, table):
+        """Destination buckets return exactly the old full scan's edges,
+        in its order, and the periodic detector finds the same region."""
+        tensors, edges = table
+        self._assert_bucketed_edges_match_scan(CostTable.from_tensors(tensors, edges=edges))
+
+    def test_bucketed_block_edges_equal_the_full_edge_scan_on_gpt_r(self):
+        self._assert_bucketed_edges_match_scan(CostTable.compile(gpt_r(64), 256))
+
+    @staticmethod
+    def _assert_bucketed_edges_match_scan(cost_table):
+        def scan(table, block_start, block_end):
+            # The full edge scan the destination buckets replaced.
+            return [
+                (edge_index, source - block_start, destination - block_start)
+                for edge_index, (source, destination) in enumerate(table.edges)
+                if block_start < destination <= block_end
+            ]
+
+        cuts = cost_table.cut_vertices()
+        blocks = list(zip(cuts, cuts[1:]))
+        for block_start, block_end in blocks:
+            assert cost_table._block_local_edges(block_start, block_end) == scan(
+                cost_table, block_start, block_end
+            )
+        for start in cuts:
+            for end in cuts:
+                if start < end:
+                    assert cost_table._edges_into(start, end) == [
+                        edge_index for edge_index, _, _ in scan(cost_table, start, end)
+                    ]
+        detected = cost_table._detect_periodic_blocks(blocks)
+        with mock.patch.object(CostTable, "_block_local_edges", scan):
+            assert cost_table._detect_periodic_blocks(blocks) == detected
 
     def test_block_jump_fires_on_gpt_r_at_depth(self):
         """The DAG periodic-block jump actually engages on ``gpt_r``.

@@ -12,12 +12,15 @@ network step never exceeds the analytic one.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model_zoo import all_models, gpt_r
+from repro.sim.network import _PairPlan, flow_plans
 from repro.sim.training import TrainingSimulator
 
 
@@ -98,3 +101,56 @@ class TestRelaxationDirection:
         actual = network.simulate(model, assignment, 256, "dp")
         assert actual.energy_joules == expected.energy_joules
         assert actual.communication_bytes == expected.communication_bytes
+
+
+# A few bandwidths (shared by several links) plus arbitrary ones, so plans
+# mix repeated and distinct bandwidths; the rounding-sensitive arbitrary
+# floats are where a wrong reduction would show.
+bandwidths = st.one_of(
+    st.sampled_from([1e9, 2.5e9, 3e9, 12.5e9, 7.0]),
+    st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False),
+)
+per_pair_amounts = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False),
+)
+
+
+def _all_links_duration(plan, per_pair):
+    """The bottleneck over every link, as the plan's definition states it."""
+    return max(
+        count * (per_pair / plan.num_flows) / bandwidth
+        for _, bandwidth, count in plan.link_loads
+    )
+
+
+class TestPairPlanBottleneck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        loads=st.lists(
+            st.tuples(bandwidths, st.integers(min_value=1, max_value=64)),
+            min_size=1,
+            max_size=24,
+        ),
+        num_flows=st.integers(min_value=1, max_value=32),
+        per_pair=per_pair_amounts,
+    )
+    def test_heaviest_count_per_bandwidth_is_bit_exact(self, loads, num_flows, per_pair):
+        plan = _PairPlan(
+            tuple(
+                (f"link:{index}", bandwidth, count)
+                for index, (bandwidth, count) in enumerate(loads)
+            ),
+            num_flows,
+        )
+        assert plan.duration(per_pair) == _all_links_duration(plan, per_pair)
+
+    @pytest.mark.parametrize("topology_type", [HTreeTopology, TorusTopology])
+    @pytest.mark.parametrize("num_accelerators", [4, 16, 64])
+    def test_routed_plans_are_bit_exact(self, topology_type, num_accelerators):
+        array = ArrayConfig(num_accelerators=num_accelerators)
+        topology = topology_type(num_accelerators, array.link_bandwidth_bytes)
+        for level_plans in flow_plans(topology):
+            for plan in level_plans:
+                for per_pair in (1.0, 1.7e6, 3.3e8 / 7, 123456.789):
+                    assert plan.duration(per_pair) == _all_links_duration(plan, per_pair)

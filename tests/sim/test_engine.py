@@ -143,6 +143,31 @@ class TestValidationAndReporting:
         assert task.duration == pytest.approx(2.5)
 
 
+class TestRepeatedRuns:
+    def test_second_run_returns_the_same_schedule(self):
+        """Resource availability and task times must not leak from one
+        run into the next (a shared-resource chain once doubled)."""
+        engine = EventDrivenEngine()
+        link = engine.resource("link")
+        first = engine.add_task("first", 1.0, resources=(link,))
+        engine.add_task("second", 2.0, resources=(link,), deps=(first,))
+        once = engine.run()
+        twice = engine.run()
+        assert once.makespan == twice.makespan == 3.0
+        assert once == twice
+        assert link.available_at == 3.0
+
+    def test_tasks_added_between_runs_are_scheduled_fresh(self):
+        engine = EventDrivenEngine()
+        pu = engine.resource("pu")
+        a = engine.add_task("a", 1.0, resources=(pu,))
+        assert engine.run().makespan == 1.0
+        engine.add_task("b", 2.0, resources=(pu,), deps=(a,))
+        schedule = engine.run()
+        assert schedule.task("b").start == 1.0
+        assert schedule.makespan == 3.0
+
+
 class TestLargerGraphs:
     def test_diamond_with_resources(self):
         engine = EventDrivenEngine()

@@ -155,3 +155,29 @@ class TestComparison:
             ],
         )
         assert script.main([baseline, current]) == 0
+
+    def test_network_slowdown_ceiling_enforced(self, script, tmp_path, capsys):
+        baseline = _write(
+            tmp_path / "baseline.json",
+            [_bench("net", 1.0, network_vs_analytic_slowdown=2.2)],
+        )
+        slow = _write(
+            tmp_path / "slow.json",
+            [_bench("net", 1.0, network_vs_analytic_slowdown=3.1)],
+        )
+        assert script.main([baseline, slow]) == 1
+        assert "network_vs_analytic_slowdown rose to 3.10x" in capsys.readouterr().out
+        fast = _write(
+            tmp_path / "fast.json",
+            [_bench("net", 1.0, network_vs_analytic_slowdown=2.5)],
+        )
+        assert script.main([baseline, fast]) == 0
+
+    def test_dropping_the_network_slowdown_key_fails(self, script, tmp_path, capsys):
+        baseline = _write(
+            tmp_path / "baseline.json",
+            [_bench("net", 1.0, network_vs_analytic_slowdown=2.2)],
+        )
+        current = _write(tmp_path / "current.json", [_bench("net", 1.0)])
+        assert script.main([baseline, current]) == 1
+        assert "ceiling check was skipped" in capsys.readouterr().out
