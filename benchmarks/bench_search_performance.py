@@ -7,6 +7,8 @@ networks of growing depth, so the linearity is visible in the benchmark
 table itself.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -23,6 +25,11 @@ from repro.nn.model import build_model
 from repro.nn.model_zoo import gpt_s, lenet_c, resnet_s, vgg_e
 
 from conftest import emit
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "properties")
+)
+from cost_table_oracle import PerLayerReference  # noqa: E402
 
 
 def _synthetic_network(depth: int):
@@ -155,6 +162,60 @@ def test_profiled_table_compile_overhead(benchmark):
         f"analytic: {analytic_seconds * 1e3:.2f} ms\n"
         f"profiled: {profiled_seconds * 1e3:.2f} ms\n"
         f"overhead: {overhead:.2f}x",
+    )
+
+
+def test_deep_table_compile(benchmark):
+    """Grouped hierarchical table compile vs the per-layer reference.
+
+    Compiles the ``gpt_s --layers 1024`` table (4098 layers, 4 levels,
+    batch 256) and gathers ``level_communication`` for its searched
+    assignment -- what a cold ``hypar simulate`` pays before the step
+    graph.  The table prices each distinct layer signature once; the
+    reference (``tests/properties/cost_table_oracle.py``) is the
+    layer-by-layer compile it replaced: every layer's records through
+    ``_fill_cost_block`` for the combined arrays, again for the
+    forward/backward splits, then the scalar per-layer gather.  Both run
+    in-process (best round each side); the ratio lands in ``extra_info``
+    as ``deep_compile_speedup`` (floor >= 10x, enforced here and by
+    ``scripts/check_bench_regression.py``), and the gathered records are
+    asserted identical on every run.
+    """
+    model = gpt_s(1024)
+    partitioner = HierarchicalPartitioner(num_levels=4)
+    assignment = partitioner.partition(model, 256).assignment
+
+    def compile_and_gather():
+        table = HierarchicalCostTable(model, 256, 4)
+        return table, table.level_communication(assignment)
+
+    table, records = benchmark(compile_and_gather)
+
+    reference_rounds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        reference = PerLayerReference(table)
+        reference_records = reference.level_communication(assignment)
+        reference_rounds.append(time.perf_counter() - start)
+    assert records == reference_records
+
+    reference_seconds = min(reference_rounds)
+    grouped_seconds = benchmark.stats.stats.min
+    speedup = reference_seconds / grouped_seconds
+    benchmark.extra_info["layers"] = len(model)
+    benchmark.extra_info["levels"] = table.num_levels
+    benchmark.extra_info["reference_seconds"] = reference_seconds
+    benchmark.extra_info["grouped_seconds"] = grouped_seconds
+    benchmark.extra_info["deep_compile_speedup"] = speedup
+    emit(
+        f"Deep table compile + level_communication: gpt_s --layers 1024 ({len(model)} layers)",
+        f"per-layer: {reference_seconds * 1e3:.2f} ms\n"
+        f"grouped  : {grouped_seconds * 1e3:.2f} ms\n"
+        f"speedup  : {speedup:.1f}x",
+    )
+    assert speedup >= 10.0, (
+        f"grouped deep-table compile must be >= 10x the per-layer reference, "
+        f"got {speedup:.1f}x"
     )
 
 

@@ -14,10 +14,11 @@ default, overridable with ``--threshold``).  Also re-checks the recorded
 speedup extra-info values against their acceptance floors --
 ``speedup_vs_reference`` >= 20x (the vectorized engine over the object
 path), ``warm_vs_cold_speedup`` >= 10x (the service's warm requests over
-a cold CLI run) and ``deep_dp_speedup`` >= 10x (the memoized chain DP
-over the cold layer loop on the 1024-block transformer) -- so none can
-silently fall below its bar even if it stays self-consistent between
-runs.  Recorded slowdowns are held under ceilings the same way:
+a cold CLI run), ``deep_dp_speedup`` >= 10x (the memoized chain DP
+over the cold layer loop on the 1024-block transformer) and
+``deep_compile_speedup`` >= 10x (the grouped table compile over the
+per-layer reference on the same transformer) -- so none can silently
+fall below its bar even if it stays self-consistent between runs.  Recorded slowdowns are held under ceilings the same way:
 ``network_vs_analytic_slowdown`` <= 2.8x (the network engine over the
 analytic engine on one AlexNet step, 16 accelerators, H tree).
 
@@ -53,6 +54,10 @@ SPEEDUP_FLOORS = {
     # deep transformer vs the cold NumPy layer loop
     # (bench_search_performance.py::test_deep_transformer_dp_memoized).
     "deep_dp_speedup": 10.0,
+    # Grouped hierarchical table compile plus level_communication on the
+    # gpt_s --layers 1024 transformer vs the per-layer reference compile
+    # (bench_search_performance.py::test_deep_table_compile).
+    "deep_compile_speedup": 10.0,
     # Compiled (numba) kernels vs the NumPy oracle, measured in-process
     # by bench_search_performance.py on machines with numba installed:
     # the DAG cut-vertex DP (test_dag_dp_compiled) and the hierarchical

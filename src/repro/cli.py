@@ -29,7 +29,7 @@ Installed as the ``hypar`` console script (also runnable with
     Summarise the point-to-point communication trace of one training step
     (per phase, per hierarchy level, per layer).
 
-``hypar simulate <model> [--sim-engine analytic|network]``
+``hypar simulate <model> [--sim-engine analytic|network] [--cost-model SPEC]``
     Simulate one training step through the unified ``repro.sim.simulate``
     entry point: search HyPar's assignment (or simulate a uniform
     baseline via ``--strategy``), then report the step time, energy and
@@ -542,7 +542,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.interconnect import HTreeTopology, TorusTopology
     from repro.sim.api import SimulationSpec
     from repro.sim.api import simulate as run_simulation
-    from repro.sim.training import PHASES
 
     model = get_model(args.model)
     array = ArrayConfig(num_accelerators=args.accelerators)
@@ -567,8 +566,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scaling_mode=args.scaling_mode,
         strategies=args.strategies,
         sim_engine=args.sim_engine,
+        cost_model=args.cost_model,
+        backend=args.backend,
     )
-    result = run_simulation(model, assignment, spec, strategy_name=strategy_name)
+    _print_simulation(run_simulation(model, assignment, spec, strategy_name=strategy_name))
+    return 0
+
+
+def _print_simulation(result) -> None:
+    """The ``hypar simulate`` report of one :class:`~repro.sim.api.SimulationResult`."""
+    from repro.sim.training import PHASES
+
     report = result.report
     print(
         f"{report.model_name} / {report.strategy_name} on {report.topology_name} "
@@ -587,7 +595,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"  {phase + ':':<10s}     compute {breakdown.compute_seconds * 1e3:.3f} ms, "
             f"link busy {breakdown.communication_seconds * 1e3:.3f} ms"
         )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -882,6 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_options(simulate_parser)
     _add_sim_engine_option(simulate_parser)
     _add_backend_option(simulate_parser)
+    _add_cost_model_option(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -109,6 +109,16 @@ class CommunicationModel:
         """
         return ("analytic", self.bytes_per_element, self.pair_factor)
 
+    def layer_cost_key(self, layer_name: str) -> tuple:
+        """What a layer's costs depend on besides its tensor amounts.
+
+        The cost-table compile prices layers with equal amounts and equal
+        keys once.  The Table-1/2 formulas never read a layer's name, so
+        the analytic model returns ``()``; a calibrated model may price by
+        name, so by default its key is the name itself.
+        """
+        return (layer_name,) if self.is_calibrated else ()
+
     # ------------------------------------------------------------------
     # Element-count primitives (Table 1 and Table 2).
     # ------------------------------------------------------------------
@@ -390,6 +400,11 @@ class CalibratedCommunicationModel(CommunicationModel):
 
     def _layer_scale(self, layer_name: str) -> float:
         return self.layer_scales.get(layer_name, 1.0)
+
+    def layer_cost_key(self, layer_name: str) -> tuple:
+        # Only the intra term reads the name, through the layer scale, so
+        # layers with equal scales (unnamed ones: 1.0) price alike.
+        return (self._layer_scale(layer_name),)
 
     def intra_layer_bytes(self, tensors: LayerTensors, parallelism: Parallelism) -> float:
         return (

@@ -30,8 +30,8 @@ paper's binary dp/mp axis by default):
   weight fraction, so the table stores one cost slice per
   ``(level, halving-state)`` and batched scoring reduces to a gather over
   cumulative per-effect counts.  This is also the scale-descent cache
-  used by the sweeps and the training simulator: the per-level
-  :class:`~repro.core.tensors.LayerTensors` are derived once per model
+  used by the sweeps and the training simulator: the per-level costs are
+  derived once per model -- once per distinct layer cost signature --
   instead of once per candidate.
 
 Bit-exactness
@@ -64,6 +64,7 @@ access of ``result.breakdown``.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import warnings
@@ -510,22 +511,22 @@ def _fill_cost_block(
     for edge_index, (source, _destination) in enumerate(edges):
         boundary = records[source]
         for q_code, spec in enumerate(specs):
-            forward = spec.inter_forward_elements
-            backward = spec.inter_backward_elements
+            forward_elements = spec.inter_forward_elements
+            backward_elements = spec.inter_backward_elements
             for p_code, previous in enumerate(members):
+                forward = forward_elements(previous, boundary)
+                backward = backward_elements(previous, boundary)
                 if inter is not None:
                     inter[edge_index, p_code, q_code] = (
-                        (forward(previous, boundary) + backward(previous, boundary))
-                        * bytes_per_element
-                        * pair_factor
+                        (forward + backward) * bytes_per_element * pair_factor
                     )
                 if inter_forward is not None:
                     inter_forward[edge_index, p_code, q_code] = (
-                        forward(previous, boundary) * bytes_per_element * pair_factor
+                        forward * bytes_per_element * pair_factor
                     )
                 if inter_backward is not None:
                     inter_backward[edge_index, p_code, q_code] = (
-                        backward(previous, boundary) * bytes_per_element * pair_factor
+                        backward * bytes_per_element * pair_factor
                     )
 
 
@@ -549,9 +550,11 @@ class CostTable:
         a chain ``E = L - 1`` and edge ``e`` is the historical boundary
         ``(e, e + 1)``.
     tensors:
-        The tensor records the table was compiled from, kept so winning
-        candidates can lazily materialize their full breakdown through the
-        object-based reference path.
+        The tensor records the table was compiled from (a sequence, one
+        per layer), kept so winning candidates can lazily materialize their
+        full breakdown through the object-based reference path.  Tables
+        gathered from a :class:`HierarchicalCostTable` build them on first
+        access.
     communication_model:
         The model used to compile the table (and to materialize breakdowns).
     strategies:
@@ -573,7 +576,7 @@ class CostTable:
 
     intra: np.ndarray
     inter: np.ndarray
-    tensors: tuple[LayerTensors, ...]
+    tensors: Sequence[LayerTensors]
     communication_model: CommunicationModel
     strategies: StrategySpace = DEFAULT_SPACE
     edges: tuple[tuple[int, int], ...] | None = None
@@ -1634,6 +1637,35 @@ class WarmStartDP:
         }
 
 
+class _LevelRecords(collections.abc.Sequence):
+    """The tensor records of one gathered level, built on first access.
+
+    A :meth:`HierarchicalCostTable.level_cost_table` table needs its
+    records only when a winner's breakdown is materialized, so searches
+    and simulations never build them.  Records are memoized on the
+    hierarchical table, so every view of one ``(level, state, layer)``
+    returns the same object.
+    """
+
+    __slots__ = ("_table", "_level", "_states")
+
+    def __init__(
+        self, table: "HierarchicalCostTable", level: int, states: Sequence[int]
+    ) -> None:
+        self._table = table
+        self._level = level
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        layer = range(len(self))[index]
+        return self._table._record(self._level, int(self._states[layer]), layer)
+
+
 class HierarchicalCostTable:
     """Per-level cost tables indexed by each layer's scale-descent state.
 
@@ -1657,6 +1689,16 @@ class HierarchicalCostTable:
     reach: batched candidate scoring, `HierarchicalPartitioner` evaluation
     and the training simulator's per-level tensor derivation all gather from
     the same compiled arrays instead of rebuilding ``LayerTensors`` lists.
+
+    Deep models repeat a few layer shapes many times, so the compile prices
+    each distinct cost signature once -- ``(is_conv, input elements,
+    output elements, weight count, MACs per sample)`` plus the
+    communication model's
+    :meth:`~repro.core.communication.CommunicationModel.layer_cost_key` --
+    and scatters the rows to the per-layer and per-edge arrays with one
+    gather.  The floats are the ones a per-layer
+    compile stores: equal signatures give equal tensor amounts, and the
+    strategy element functions read nothing else.
     """
 
     def __init__(
@@ -1688,6 +1730,7 @@ class HierarchicalCostTable:
         self.edges: tuple[tuple[int, int], ...] = model.edges
         self._is_chain = model.is_chain
         self._edge_source = np.array([s for s, _ in self.edges], dtype=np.int64)
+        self._edge_destination = np.array([d for _, d in self.edges], dtype=np.int64)
         # Destination-grouped (stable) edge arrays for the compiled level
         # scorers, mirroring CostTable._kernel_edges.
         kernel_order = sorted(range(len(self.edges)), key=lambda e: self.edges[e][1])
@@ -1698,13 +1741,12 @@ class HierarchicalCostTable:
         self._kernel_edge_destination = np.array(
             [self.edges[e][1] for e in kernel_order], dtype=np.int64
         )
-        #: Per destination layer: its incoming ``(edge_index, source)`` pairs
-        #: in canonical (input) order, for per-edge gathers.
-        self._incoming: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.num_layers)
-        ]
-        for edge_index, (source, destination) in enumerate(self.edges):
-            self._incoming[destination].append((edge_index, source))
+        #: Per destination layer: the ``[start, stop)`` run of its incoming
+        #: edges -- canonical edges are ordered by destination, then input.
+        bounds = np.searchsorted(
+            self._edge_destination, np.arange(self.num_layers + 1)
+        ).tolist()
+        self._incoming_spans = list(zip(bounds[:-1], bounds[1:]))
         comm = self.communication_model
         space = self.strategies
 
@@ -1730,24 +1772,55 @@ class HierarchicalCostTable:
             np.array_equal(self._weight_effect, np.arange(space.size, dtype=np.int64))
         )
 
+        # Layers with equal cost signatures get equal table rows, so each
+        # distinct signature is priced once and scattered to its layers.
+        # The signature is everything ``layer_tensors`` reads besides the
+        # name and index, which no strategy element function looks at, plus
+        # whatever the communication model prices by name (a calibrated
+        # model's per-layer scale).
+        layers = list(model)
+        self._layers = layers
+        group_of: dict[tuple, int] = {}
+        representatives = []
+        layer_group = np.empty(self.num_layers, dtype=np.int64)
+        for index, layer in enumerate(layers):
+            signature = (
+                layer.is_conv,
+                layer.input_shape.elements,
+                layer.output_shape.elements,
+                layer.weight_count,
+                layer.macs_per_sample,
+                comm.layer_cost_key(layer.name),
+            )
+            group = group_of.setdefault(signature, len(group_of))
+            if group == len(representatives):
+                representatives.append(layer)
+            layer_group[index] = group
+        #: Per layer / per edge: the cost group whose rows it takes (an
+        #: edge's boundary tensors are its *source* layer's).
+        self._layer_group = layer_group
+        self._edge_group = layer_group[self._edge_source]
+        num_groups = len(representatives)
+        group_edges = tuple((group, group) for group in range(num_groups))
+
         # Per level h: the reachable (batch-halvings, weight-halvings) state
-        # list, an index LUT for vectorized gathers, tensors[h][s][l],
-        # intra[h] (L, S, K) and the boundary array (L-1, S, K, K).  The
-        # forward/backward splits of the inter-layer costs are compiled
-        # lazily on first :meth:`level_communication` access: only the
-        # simulator reads them, and ``_to_bytes(fwd + bwd)`` versus
-        # ``_to_bytes(fwd) + _to_bytes(bwd)`` may round differently, so they
-        # cannot be derived from the combined array.
+        # list, an index LUT for vectorized gathers, the state scales,
+        # intra[h] (L, S, K) and inter[h] (E, S, K, K) for the scorers, and
+        # the forward/backward splits of inter[h] per group (G, S, K, K)
+        # for :meth:`level_communication`.  The splits cannot be derived
+        # from the combined array (``_to_bytes(fwd + bwd)`` and
+        # ``_to_bytes(fwd) + _to_bytes(bwd)`` may round differently), so
+        # one fill pass writes all four.  Per-layer tensor records are built
+        # only when a breakdown asks for them (:meth:`_record`).
         self._states: list[list[tuple[int, int]]] = []
         self._state_lut: list[np.ndarray] = []
-        self._tensors: list[list[tuple[LayerTensors, ...]]] = []
+        self._scales: list[list[TensorScale]] = []
         self._intra: list[np.ndarray] = []
         self._inter: list[np.ndarray] = []
-        self._inter_forward: list[np.ndarray] | None = None
-        self._inter_backward: list[np.ndarray] | None = None
+        self._inter_forward: list[np.ndarray] = []
+        self._inter_backward: list[np.ndarray] = []
+        self._records: dict[tuple[int, int, int], LayerTensors] = {}
 
-        layers = list(model)
-        num_layers = self.num_layers
         num_strategies = space.size
         specs = [strategy_spec(member) for member in space]
         members = space.members
@@ -1758,62 +1831,30 @@ class HierarchicalCostTable:
             for index, (b, w) in enumerate(level_states):
                 lut[b, w] = index
             self._state_lut.append(lut)
+            scales = [self._state_scale(level, b, w) for b, w in level_states]
+            self._scales.append(scales)
             num_states = len(level_states)
-            level_tensors: list[tuple[LayerTensors, ...]] = []
-            intra = np.empty((num_layers, num_states, num_strategies), dtype=np.float64)
-            inter = np.zeros(
-                (len(self.edges), num_states, num_strategies, num_strategies),
-                dtype=np.float64,
-            )
-            for state, (b, w) in enumerate(level_states):
-                scale = self._state_scale(level, b, w)
-                records = tuple(
-                    layer_tensors(layer, batch_size, scale) for layer in layers
-                )
-                level_tensors.append(records)
+            intra = np.empty((num_groups, num_states, num_strategies), dtype=np.float64)
+            inter_shape = (num_groups, num_states, num_strategies, num_strategies)
+            inter = np.empty(inter_shape, dtype=np.float64)
+            inter_forward = np.empty(inter_shape, dtype=np.float64)
+            inter_backward = np.empty(inter_shape, dtype=np.float64)
+            for state, scale in enumerate(scales):
                 _fill_cost_block(
-                    records,
+                    [layer_tensors(layer, batch_size, scale) for layer in representatives],
                     specs,
                     members,
                     comm,
                     intra=intra[:, state, :],
                     inter=inter[:, state, :, :],
-                    edges=self.edges,
+                    inter_forward=inter_forward[:, state, :, :],
+                    inter_backward=inter_backward[:, state, :, :],
+                    edges=group_edges,
                 )
-            self._tensors.append(level_tensors)
-            self._intra.append(intra)
-            self._inter.append(inter)
-
-    def _ensure_direction_split(self) -> None:
-        """Compile the forward/backward inter-layer splits on first use."""
-        if self._inter_forward is not None:
-            return
-        comm = self.communication_model
-        space = self.strategies
-        num_strategies = space.size
-        forward: list[np.ndarray] = []
-        backward: list[np.ndarray] = []
-        specs = [strategy_spec(member) for member in space]
-        members = space.members
-        for level in range(self.num_levels):
-            num_states = self.num_states(level)
-            shape = (len(self.edges), num_states, num_strategies, num_strategies)
-            inter_fwd = np.zeros(shape, dtype=np.float64)
-            inter_bwd = np.zeros(shape, dtype=np.float64)
-            for state, records in enumerate(self._tensors[level]):
-                _fill_cost_block(
-                    records,
-                    specs,
-                    members,
-                    comm,
-                    inter_forward=inter_fwd[:, state, :, :],
-                    inter_backward=inter_bwd[:, state, :, :],
-                    edges=self.edges,
-                )
-            forward.append(inter_fwd)
-            backward.append(inter_bwd)
-        self._inter_forward = forward
-        self._inter_backward = backward
+            self._intra.append(intra[layer_group])
+            self._inter.append(inter[self._edge_group])
+            self._inter_forward.append(inter_forward)
+            self._inter_backward.append(inter_backward)
 
     # ------------------------------------------------------------------
     # Scale-descent states.
@@ -1863,32 +1904,50 @@ class HierarchicalCostTable:
             return TensorScale(batch_fraction=0.5 ** level, weight_fraction=1.0)
         return TensorScale()
 
-    def state_indices(self, assignment: HierarchicalAssignment) -> np.ndarray:
-        """Per-(level, layer) state indices implied by ``assignment``."""
-        self._check_assignment(assignment)
-        states = np.zeros((self.num_levels, self.num_layers), dtype=np.int64)
+    def _level_codes(self, assignment: HierarchicalAssignment) -> np.ndarray:
+        """``(H, L)`` strategy codes of ``assignment``."""
+        code_of = self.strategies.code_of
+        return np.array(
+            [list(map(code_of, assignment[level])) for level in range(self.num_levels)],
+            dtype=np.int64,
+        )
+
+    def _states_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """``(H, L)`` state indices implied by ``(H, L)`` strategy codes."""
+        states = np.zeros(codes.shape, dtype=np.int64)
         if self.scaling_mode is not ScalingMode.PARALLELISM_AWARE:
             return states
         batch_counts = np.zeros(self.num_layers, dtype=np.int64)
         weight_counts = np.zeros(self.num_layers, dtype=np.int64)
         for level in range(self.num_levels):
             states[level] = self._state_lut[level][batch_counts, weight_counts]
-            for layer, choice in enumerate(assignment[level]):
-                halves = strategy_spec(choice).halves
-                if halves == BATCH:
-                    batch_counts[layer] += 1
-                elif halves == WEIGHT:
-                    weight_counts[layer] += 1
+            batch_counts += self._batch_effect[codes[level]]
+            weight_counts += self._weight_effect[codes[level]]
         return states
+
+    def state_indices(self, assignment: HierarchicalAssignment) -> np.ndarray:
+        """Per-(level, layer) state indices implied by ``assignment``."""
+        self._check_assignment(assignment)
+        return self._states_of_codes(self._level_codes(assignment))
+
+    def _record(self, level: int, state: int, layer: int) -> LayerTensors:
+        """Layer ``layer``'s tensor record at ``(level, state)``, built once."""
+        key = (level, state, layer)
+        record = self._records.get(key)
+        if record is None:
+            record = self._records.setdefault(
+                key,
+                layer_tensors(
+                    self._layers[layer], self.batch_size, self._scales[level][state]
+                ),
+            )
+        return record
 
     def tensors_for_level(
         self, level: int, states: Sequence[int]
     ) -> tuple[LayerTensors, ...]:
         """The per-layer tensor records of one level under given state indices."""
-        level_tensors = self._tensors[level]
-        return tuple(
-            level_tensors[state][layer] for layer, state in enumerate(states)
-        )
+        return tuple(_LevelRecords(self, level, states))
 
     def level_cost_table(self, level: int, states: Sequence[int]) -> CostTable:
         """The single-level :class:`CostTable` of one scale-descent outcome.
@@ -1897,7 +1956,8 @@ class HierarchicalCostTable:
         :meth:`state_index`; always 0 outside parallelism-aware scaling).
         Pure gather -- no tensor or communication re-derivation -- so
         per-level searches and evaluations inside a sweep are O(L) array
-        slicing.
+        slicing.  The table's tensor records are built on first access
+        (a materialized breakdown) and memoized here.
         """
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} out of range for {self.num_levels} levels")
@@ -1916,7 +1976,7 @@ class HierarchicalCostTable:
         return CostTable(
             intra=intra,
             inter=inter,
-            tensors=self.tensors_for_level(level, states),
+            tensors=_LevelRecords(self, level, state_array),
             communication_model=self.communication_model,
             strategies=self.strategies,
             edges=self.edges,
@@ -2209,35 +2269,36 @@ class HierarchicalCostTable:
         object path derives from fresh ``model_tensors`` lists at every
         level.
         """
-        self._ensure_direction_split()
-        states = self.state_indices(assignment)
-        code_of = self.strategies.code_of
+        self._check_assignment(assignment)
+        codes = self._level_codes(assignment)
+        states = self._states_of_codes(codes)
+        layer_range = np.arange(self.num_layers)
+        sources = self._edge_source
+        destinations = self._edge_destination
+        source_list = sources.tolist()
+        spans = self._incoming_spans
         records: list[
             list[tuple[Parallelism, float, tuple[tuple[int, float, float], ...]]]
         ] = []
         for level in range(self.num_levels):
-            level_assignment = assignment[level]
-            level_records = []
-            for layer, choice in enumerate(level_assignment):
-                state = int(states[level, layer])
-                intra = float(self._intra[level][layer, state, code_of(choice)])
-                incoming = []
-                for edge_index, source in self._incoming[layer]:
-                    previous = level_assignment[source]
-                    boundary_state = int(states[level, source])
-                    fwd = float(
-                        self._inter_forward[level][
-                            edge_index, boundary_state, code_of(previous), code_of(choice)
-                        ]
-                    )
-                    bwd = float(
-                        self._inter_backward[level][
-                            edge_index, boundary_state, code_of(previous), code_of(choice)
-                        ]
-                    )
-                    incoming.append((source, fwd, bwd))
-                level_records.append((choice, intra, tuple(incoming)))
-            records.append(level_records)
+            level_codes = codes[level]
+            level_states = states[level]
+            intra = self._intra[level][layer_range, level_states, level_codes].tolist()
+            boundary = (
+                self._edge_group,
+                level_states[sources],
+                level_codes[sources],
+                level_codes[destinations],
+            )
+            edge_records = list(
+                zip(
+                    source_list,
+                    self._inter_forward[level][boundary].tolist(),
+                    self._inter_backward[level][boundary].tolist(),
+                )
+            )
+            incoming = [tuple(edge_records[start:stop]) for start, stop in spans]
+            records.append(list(zip(assignment[level], intra, incoming)))
         return records
 
     @property

@@ -96,6 +96,12 @@ class StrategySpec:
         follows ``previous`` across the boundary tensor record.
     description:
         One-line human-readable summary (``hypar strategies``).
+
+    The element functions read only a record's amounts (``feature_in``,
+    ``feature_out``, ``weight``, ``macs`` and their aliases), never its
+    ``layer_name`` or ``layer_index``: the cost-table compile prices each
+    distinct layer signature once and hands the result to every layer
+    that shares it.
     """
 
     parallelism: Parallelism
@@ -122,7 +128,12 @@ _REGISTRY: Dict[Parallelism, StrategySpec] = {}
 
 
 def register_strategy(spec: StrategySpec) -> StrategySpec:
-    """Register (or replace) the spec of one strategy."""
+    """Register (or replace) the spec of one strategy.
+
+    The spec's element functions must read only a tensor record's
+    amounts, never ``layer_name`` or ``layer_index`` (see
+    :class:`StrategySpec`).
+    """
     _REGISTRY[spec.parallelism] = spec
     return spec
 

@@ -8,7 +8,7 @@ implied).  This module unifies them:
 
 * :class:`SimulationSpec` -- one frozen record naming the platform and the
   engine (batch size, array, topology, scaling mode, strategy space,
-  micro-batches, ``sim_engine``);
+  micro-batches, ``sim_engine``, cost model, kernel backend);
 * :func:`simulate` -- the single entry point.  Given an assignment it
   simulates it; given none (on a multi-accelerator array) it runs HyPar's
   hierarchical search first, sharing one compiled cost table between the
@@ -26,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.accelerator.array import ArrayConfig
+from repro.core import kernels
+from repro.core.costmodel import ANALYTIC_SPEC, resolve_cost_model
 from repro.core.costs import HierarchicalCostTable, TableCache
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
 from repro.core.parallelism import HierarchicalAssignment, StrategySpace
@@ -44,7 +46,10 @@ class SimulationSpec:
 
     The defaults are the paper's evaluation platform: batch 256 on sixteen
     accelerators joined by an H tree, parallelism-aware scaling over the
-    dp/mp strategy space, four micro-batches, analytic engine.
+    dp/mp strategy space, four micro-batches, analytic engine, analytic
+    cost model.  ``cost_model`` is a :func:`~repro.core.costmodel.resolve_cost_model`
+    spec (``"analytic"`` or ``"profiled:<pack>"``); ``backend`` is the
+    cost-table kernel backend (``None`` follows the process default).
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -54,6 +59,8 @@ class SimulationSpec:
     strategies: StrategySpace | str | None = None
     num_microbatches: int = DEFAULT_NUM_MICROBATCHES
     sim_engine: str = "analytic"
+    cost_model: str = ANALYTIC_SPEC
+    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -61,21 +68,19 @@ class SimulationSpec:
                 f"batch_size must be positive, got {self.batch_size}"
             )
         validate_sim_engine(self.sim_engine)
+        kernels.validate_backend(self.backend)
 
-    def build_simulator(
-        self,
-        table_cache: TableCache | None = None,
-        backend: str | None = None,
-    ) -> TrainingSimulator:
+    def build_simulator(self, table_cache: TableCache | None = None) -> TrainingSimulator:
         """A :class:`TrainingSimulator` configured exactly as this spec."""
         return TrainingSimulator(
             self.array,
             self.topology,
+            communication_model=resolve_cost_model(self.cost_model).communication_model(),
             scaling_mode=self.scaling_mode,
             strategies=self.strategies,
             num_microbatches=self.num_microbatches,
             table_cache=table_cache,
-            backend=backend,
+            backend=self.backend,
             sim_engine=self.sim_engine,
         )
 

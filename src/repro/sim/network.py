@@ -61,7 +61,7 @@ from repro.interconnect.topology import Topology, hierarchical_groups
 from repro.nn.model import DNNModel
 from repro.sim.engine import EventDrivenEngine, Schedule, Task
 from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
-from repro.sim.training import PHASES, TrainingSimulator
+from repro.sim.training import PHASES, TrainingSimulator, pass_cache_key
 
 
 def link_name(u, v) -> str:
@@ -206,7 +206,7 @@ def _run_network_step(
         name: str, layer, macs_total: float, dram_words_total: float, phase: str, deps
     ) -> Task:
         nonlocal compute_energy, sram_energy, dram_energy
-        cache_key = (layer, macs_total, dram_words_total, num_accelerators)
+        cache_key = pass_cache_key(layer, macs_total, dram_words_total, num_accelerators)
         execution = pass_cache.get(cache_key)
         if execution is None:
             if len(pass_cache) >= 4096:

@@ -64,6 +64,31 @@ PHASES = ("forward", "backward", "gradient")
 DEFAULT_NUM_MICROBATCHES = 4
 
 
+def pass_cache_key(
+    layer, macs_total: float, dram_words_total: float, num_accelerators: int
+) -> tuple:
+    """Key of one layer pass in a simulator's pass cache.
+
+    Exactly what :meth:`~repro.accelerator.accelerator.Accelerator.execute_layer_pass`
+    reads: the layer's spec class and kernel size, its input and output
+    shapes, and the work split over ``num_accelerators``.  Layers that
+    differ only in name share an entry, so a deep model's repeated blocks
+    execute each distinct pass once (the cached execution's ``layer_name``
+    is the first such layer's; the simulator reads only its times and
+    energies).
+    """
+    spec = layer.spec
+    return (
+        type(spec),
+        getattr(spec, "kernel_size", None),
+        layer.input_shape,
+        layer.output_shape,
+        macs_total,
+        dram_words_total,
+        num_accelerators,
+    )
+
+
 class TrainingSimulator:
     """Simulates one training step of a partitioned DNN on an accelerator array.
 
@@ -152,9 +177,9 @@ class TrainingSimulator:
         # recycled while the entry lives; sweeps re-simulating one model
         # hundreds of times (Figures 9/10) hit this cache on every point.
         self._table_cache: dict[tuple[int, int], HierarchicalCostTable] = {}
-        # Layer-pass executions depend on (layer, work), not on the
+        # Layer-pass executions depend on (layer shape, work), not on the
         # assignment, so every point of a sweep issues identical passes.
-        # Keyed by the (frozen, hashable) layer itself plus the work amounts.
+        # Keyed by :func:`pass_cache_key`.
         self._pass_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -303,7 +328,9 @@ class TrainingSimulator:
             name: str, layer, macs_total: float, dram_words_total: float, phase: str, deps
         ) -> Task:
             nonlocal compute_energy, sram_energy, dram_energy
-            cache_key = (layer, macs_total, dram_words_total, num_accelerators)
+            cache_key = pass_cache_key(
+                layer, macs_total, dram_words_total, num_accelerators
+            )
             execution = pass_cache.get(cache_key)
             if execution is None:
                 if len(pass_cache) >= 4096:

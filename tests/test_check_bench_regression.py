@@ -120,6 +120,20 @@ class TestComparison:
         )
         assert script.main([baseline, current]) == 1
 
+    def test_deep_compile_floor_enforced(self, script, tmp_path, capsys):
+        baseline = _write(
+            tmp_path / "baseline.json", [_bench("compile", 1.0, deep_compile_speedup=20.0)]
+        )
+        slow = _write(
+            tmp_path / "slow.json", [_bench("compile", 1.0, deep_compile_speedup=8.0)]
+        )
+        assert script.main([baseline, slow]) == 1
+        assert "deep_compile_speedup fell to 8.0x (floor 10x)" in capsys.readouterr().out
+        fast = _write(
+            tmp_path / "fast.json", [_bench("compile", 1.0, deep_compile_speedup=12.0)]
+        )
+        assert script.main([baseline, fast]) == 0
+
     def test_dropping_a_recorded_speedup_key_fails(self, script, tmp_path, capsys):
         baseline = _write(
             tmp_path / "baseline.json", [_bench("svc", 1.0, warm_vs_cold_speedup=1500.0)]

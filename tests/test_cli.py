@@ -205,6 +205,50 @@ class TestSimulateCommand:
         assert "network engine" in out
         assert "dp-dp-dp-dp" in out
 
+    @pytest.mark.parametrize(
+        "cost_model", ["profiled:slow-interconnect", "profiled:hetero-accelerators"]
+    )
+    def test_cost_model_output_equals_the_library(self, capsys, cost_model):
+        from repro.cli import _print_simulation
+        from repro.nn.model_zoo import get_model
+        from repro.sim.api import SimulationSpec, simulate
+
+        assert main(["simulate", "Lenet-c"]) == 0
+        analytic_out = capsys.readouterr().out
+        assert main(["simulate", "Lenet-c", "--cost-model", cost_model]) == 0
+        cli_out = capsys.readouterr().out
+        _print_simulation(
+            simulate(get_model("Lenet-c"), spec=SimulationSpec(cost_model=cost_model))
+        )
+        assert cli_out == capsys.readouterr().out
+        assert cli_out != analytic_out
+
+    def test_backend_and_cost_model_reach_the_spec(self, monkeypatch):
+        import repro.sim.api
+        from repro.core import kernels
+
+        seen = []
+
+        def fake_simulate(model, assignment, spec, **kwargs):
+            seen.append(spec)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(repro.sim.api, "simulate", fake_simulate)
+        previous = kernels.get_default_backend()
+        try:
+            with pytest.raises(SystemExit):
+                main(
+                    [
+                        "simulate", "Lenet-c", "--backend", "numpy",
+                        "--cost-model", "profiled:fp16-precision",
+                    ]
+                )
+        finally:
+            kernels.set_default_backend(previous)
+        (spec,) = seen
+        assert spec.backend == "numpy"
+        assert spec.cost_model == "profiled:fp16-precision"
+
     def test_sweep_engine_override_runs_the_grid_through_the_network(self, capsys):
         assert main(["sweep", "smoke", "--sim-engine", "network"]) == 0
         out = capsys.readouterr().out
