@@ -7,8 +7,6 @@ networks of growing depth, so the linearity is visible in the benchmark
 table itself.
 """
 
-import os
-import sys
 import time
 
 import numpy as np
@@ -25,11 +23,7 @@ from repro.nn.model import build_model
 from repro.nn.model_zoo import gpt_s, lenet_c, resnet_s, vgg_e
 
 from conftest import emit
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "properties")
-)
-from cost_table_oracle import PerLayerReference  # noqa: E402
+from cost_table_oracle import PerLayerReference
 
 
 def _synthetic_network(depth: int):

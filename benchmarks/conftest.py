@@ -20,9 +20,12 @@ import sys
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if os.path.isdir(_SRC) and _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ``src`` for the package; ``tests/properties`` for the reference
+# compilers the benches time against (``cost_table_oracle``).
+for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests", "properties")):
+    if os.path.isdir(_path) and _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.accelerator.array import ArrayConfig  # noqa: E402
 from repro.analysis.experiments import ExperimentRunner  # noqa: E402

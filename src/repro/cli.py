@@ -567,7 +567,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         strategies=args.strategies,
         sim_engine=args.sim_engine,
         cost_model=args.cost_model,
-        backend=args.backend,
     )
     _print_simulation(run_simulation(model, assignment, spec, strategy_name=strategy_name))
     return 0

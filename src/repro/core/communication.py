@@ -114,10 +114,9 @@ class CommunicationModel:
 
         The cost-table compile prices layers with equal amounts and equal
         keys once.  The Table-1/2 formulas never read a layer's name, so
-        the analytic model returns ``()``; a calibrated model may price by
-        name, so by default its key is the name itself.
+        this returns ``()``; a model that prices by name must override it.
         """
-        return (layer_name,) if self.is_calibrated else ()
+        return ()
 
     # ------------------------------------------------------------------
     # Element-count primitives (Table 1 and Table 2).

@@ -1644,7 +1644,8 @@ class _LevelRecords(collections.abc.Sequence):
     records only when a winner's breakdown is materialized, so searches
     and simulations never build them.  Records are memoized on the
     hierarchical table, so every view of one ``(level, state, layer)``
-    returns the same object.
+    returns the same object.  The view keeps its own copy of the states,
+    so a caller reusing its state array cannot change later records.
     """
 
     __slots__ = ("_table", "_level", "_states")
@@ -1654,7 +1655,7 @@ class _LevelRecords(collections.abc.Sequence):
     ) -> None:
         self._table = table
         self._level = level
-        self._states = states
+        self._states = np.array(states, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._states)

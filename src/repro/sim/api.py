@@ -8,7 +8,7 @@ implied).  This module unifies them:
 
 * :class:`SimulationSpec` -- one frozen record naming the platform and the
   engine (batch size, array, topology, scaling mode, strategy space,
-  micro-batches, ``sim_engine``, cost model, kernel backend);
+  micro-batches, ``sim_engine``, cost model);
 * :func:`simulate` -- the single entry point.  Given an assignment it
   simulates it; given none (on a multi-accelerator array) it runs HyPar's
   hierarchical search first, sharing one compiled cost table between the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.accelerator.array import ArrayConfig
-from repro.core import kernels
 from repro.core.costmodel import ANALYTIC_SPEC, resolve_cost_model
 from repro.core.costs import HierarchicalCostTable, TableCache
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
@@ -48,8 +47,9 @@ class SimulationSpec:
     accelerators joined by an H tree, parallelism-aware scaling over the
     dp/mp strategy space, four micro-batches, analytic engine, analytic
     cost model.  ``cost_model`` is a :func:`~repro.core.costmodel.resolve_cost_model`
-    spec (``"analytic"`` or ``"profiled:<pack>"``); ``backend`` is the
-    cost-table kernel backend (``None`` follows the process default).
+    spec (``"analytic"`` or ``"profiled:<pack>"``), resolved when the spec
+    is built so a bad spec fails here.  Cost tables use the process-default
+    kernel backend (``kernels.set_default_backend``).
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -60,7 +60,6 @@ class SimulationSpec:
     num_microbatches: int = DEFAULT_NUM_MICROBATCHES
     sim_engine: str = "analytic"
     cost_model: str = ANALYTIC_SPEC
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -68,7 +67,7 @@ class SimulationSpec:
                 f"batch_size must be positive, got {self.batch_size}"
             )
         validate_sim_engine(self.sim_engine)
-        kernels.validate_backend(self.backend)
+        resolve_cost_model(self.cost_model)
 
     def build_simulator(self, table_cache: TableCache | None = None) -> TrainingSimulator:
         """A :class:`TrainingSimulator` configured exactly as this spec."""
@@ -80,7 +79,6 @@ class SimulationSpec:
             strategies=self.strategies,
             num_microbatches=self.num_microbatches,
             table_cache=table_cache,
-            backend=self.backend,
             sim_engine=self.sim_engine,
         )
 
@@ -118,8 +116,8 @@ def simulate(
 
     ``sim_engine`` (keyword-only) overrides the spec's engine for this
     call.  ``simulator`` optionally reuses an existing
-    :class:`TrainingSimulator` (its platform wins over ``spec``'s;
-    sweeps pass their cached, table-cache-wired instance).
+    :class:`TrainingSimulator` (its platform and cost model win over
+    ``spec``'s; sweeps pass their cached, table-cache-wired instance).
     ``strategy_name`` defaults to ``"HyPar"`` for searched assignments and
     ``"custom"`` for explicit ones.
     """

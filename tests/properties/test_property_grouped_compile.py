@@ -213,3 +213,11 @@ def test_gathered_records_are_built_on_demand_and_memoized():
     assert table.tensors_for_level(2, states)[5] is first
     assert level_table.tensors[-1] is level_table.tensors[table.num_layers - 1]
     assert first.layer_name == model[5].name and first.layer_index == 5
+
+
+def test_lazy_records_ignore_later_changes_to_the_callers_states():
+    table = HierarchicalCostTable(get_model("gpt_s-3"), 32, 3)
+    states = np.ones(table.num_layers, dtype=np.int64)
+    level_table = table.level_cost_table(2, states)
+    states[:] = 0
+    assert level_table.tensors[5] is table.tensors_for_level(2, [1] * table.num_layers)[5]

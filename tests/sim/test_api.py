@@ -31,21 +31,19 @@ class TestSimulationSpec:
         spec = SimulationSpec(sim_engine="network")
         assert spec.build_simulator().sim_engine == "network"
 
-    def test_build_simulator_carries_cost_model_and_backend(self):
+    def test_build_simulator_carries_cost_model(self):
         from repro.core.costmodel import resolve_cost_model
 
-        spec = SimulationSpec(cost_model="profiled:slow-interconnect", backend="numpy")
+        spec = SimulationSpec(cost_model="profiled:slow-interconnect")
         simulator = spec.build_simulator()
         expected = resolve_cost_model("profiled:slow-interconnect").communication_model()
         assert simulator.communication_model.same_costs(expected)
-        assert simulator.backend == "numpy"
         default = SimulationSpec().build_simulator()
         assert default.communication_model.cache_key == ("analytic", 4, 2)
-        assert default.backend is None
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            SimulationSpec(backend="gpu")
+    def test_rejects_unknown_cost_model(self):
+        with pytest.raises(ValueError, match="unknown profile pack"):
+            SimulationSpec(cost_model="profiled:typo")
 
 
 class TestBackendRegistry:

@@ -223,14 +223,14 @@ class TestSimulateCommand:
         assert cli_out == capsys.readouterr().out
         assert cli_out != analytic_out
 
-    def test_backend_and_cost_model_reach_the_spec(self, monkeypatch):
+    def test_backend_and_cost_model_reach_the_simulation(self, monkeypatch):
         import repro.sim.api
         from repro.core import kernels
 
         seen = []
 
         def fake_simulate(model, assignment, spec, **kwargs):
-            seen.append(spec)
+            seen.append((spec, kernels.get_default_backend()))
             raise SystemExit(0)
 
         monkeypatch.setattr(repro.sim.api, "simulate", fake_simulate)
@@ -239,14 +239,14 @@ class TestSimulateCommand:
             with pytest.raises(SystemExit):
                 main(
                     [
-                        "simulate", "Lenet-c", "--backend", "numpy",
+                        "simulate", "Lenet-c", "--backend", "compiled",
                         "--cost-model", "profiled:fp16-precision",
                     ]
                 )
         finally:
             kernels.set_default_backend(previous)
-        (spec,) = seen
-        assert spec.backend == "numpy"
+        ((spec, backend),) = seen
+        assert backend == "compiled"
         assert spec.cost_model == "profiled:fp16-precision"
 
     def test_sweep_engine_override_runs_the_grid_through_the_network(self, capsys):
