@@ -37,13 +37,7 @@ from repro.core import (
 )
 from repro.interconnect import HTreeTopology, TorusTopology, build_topology
 from repro.nn import DNNModel, build_model, get_model
-from repro.sim import (
-    SimulationResult,
-    SimulationSpec,
-    TrainingSimulator,
-    simulate,
-    simulate_partitioned,
-)
+from repro.sim import SimulationResult, SimulationSpec, TrainingSimulator, simulate
 
 __version__ = "1.0.0"
 
@@ -68,6 +62,5 @@ __all__ = [
     "SimulationSpec",
     "SimulationResult",
     "simulate",
-    "simulate_partitioned",
     "ExperimentRunner",
 ]

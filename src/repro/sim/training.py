@@ -2,23 +2,29 @@
 
 The simulator builds a task graph for one mini-batch step -- forward pass,
 error backward pass, gradient computation and weight update for every
-weighted layer -- and schedules it with the discrete-event engine:
+weighted layer -- and schedules it with the discrete-event engine.  One
+walk (:meth:`TrainingSimulator._run_step`) builds it for both engines:
 
 * every layer pass runs as a *compute* task on the array's processing units
-  (all accelerators execute their share in lock-step, so the pass occupies
-  one aggregate PU resource for the per-accelerator duration, bounded below
-  by local HMC streaming);
+  (all accelerators execute their share in lock-step, so the pass lasts the
+  per-accelerator duration, bounded below by local HMC streaming);
 * the tensor exchanges dictated by the HyPar communication model run as
-  *communication* tasks on the hierarchy-level link resources: model-parallel
-  layers exchange output-feature partial sums during forward, data-parallel
+  *communication* tasks on the link resources: model-parallel layers
+  exchange output-feature partial sums during forward, data-parallel
   layers exchange gradients during the weight update, and inter-layer
   re-layouts are charged per layer-DAG edge (feature-map share in forward,
   error share in backward) -- the task graph carries the model's fan-out
   and fan-in, so a merge layer's forward waits on every branch and a
   branching layer's backward waits on every consumer's chain;
 * communication of the different hierarchy levels of one logical exchange is
-  chained (a hierarchical reduction proceeds level by level), with each level
-  running at the effective bandwidth its topology gives to a pair boundary.
+  chained deepest-first (a hierarchical reduction proceeds level by level).
+
+Which resources those tasks occupy is the engine's *link model*.  The
+analytic engine's :class:`AggregateLinks` puts all compute on one aggregate
+PU and each level on one aggregate link running at the effective bandwidth
+its topology gives a pair boundary; the network engine's
+:class:`~repro.sim.network.RoutedLinks` routes every pair boundary over the
+physical links and lets the gradient exchange overlap the backward chain.
 
 Energy is accumulated analytically from the same quantities: arithmetic,
 on-chip buffer and local DRAM energy are identical under every strategy
@@ -35,7 +41,6 @@ scale-descent tensor amounts once instead of once per level per point.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from repro.accelerator.array import ArrayConfig
@@ -51,9 +56,10 @@ from repro.core.strategies import strategy_spec
 from repro.core.tensors import ScalingMode
 from repro.interconnect import HTreeTopology, Topology
 from repro.nn.model import DNNModel
-from repro.sim.backend import get_backend, validate_sim_engine
+from repro.sim.backend import validate_sim_engine
 from repro.sim.engine import EventDrivenEngine, Schedule, Task
 from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
+from repro.sim.network import RoutedLinks
 
 #: The three layer passes of training (Equations 1-3 of the paper).
 PHASES = ("forward", "backward", "gradient")
@@ -240,32 +246,41 @@ class TrainingSimulator:
         simulator's configuration); otherwise one is compiled and cached per
         (model, batch size).  The keyword-only ``sim_engine`` overrides the
         simulator's default engine for this call (``"analytic"`` or
-        ``"network"``); both engines share the compiled communication
-        records, and the run's raw schedule lands in :attr:`last_schedule`.
+        ``"network"``); both engines walk the same step graph and differ only
+        in their link model, and the run's raw schedule lands in
+        :attr:`last_schedule`.
         """
         engine_name = validate_sim_engine(
             self.sim_engine if sim_engine is None else sim_engine
         )
-        level_comm = self._validated_level_comm(
+        level_comm = self._level_communication(
             model, assignment, batch_size, cost_table
         )
-        backend = get_backend(engine_name)
-        report, schedule = backend.run_step(
-            self, model, batch_size, strategy_name, level_comm
+        link_model = AggregateLinks if engine_name == "analytic" else RoutedLinks
+        report, schedule = self._run_step(
+            model,
+            batch_size,
+            strategy_name,
+            level_comm,
+            link_model(self.array, self.topology),
         )
         self.last_schedule = schedule
         return report
 
-    def _validated_level_comm(
+    def _level_communication(
         self,
         model: DNNModel,
         assignment: HierarchicalAssignment | None,
         batch_size: int,
-        cost_table: HierarchicalCostTable | None = None,
-    ) -> list[list["_LayerLevelComm"]]:
+        cost_table: HierarchicalCostTable | None,
+    ) -> list[list[tuple[Parallelism, float, tuple[tuple[int, float, float], ...]]]]:
         """Validate the (model, assignment) pair and gather its records.
 
-        The engine-independent compilation step both backends share.
+        Per level, per layer ``(choice, intra, incoming)`` bytes per pair
+        (see :meth:`~repro.core.costs.HierarchicalCostTable.level_communication`),
+        gathered from the compiled cost table: the scale-descent outcomes
+        are derived once per (model, batch) and shared across every
+        simulated assignment and both engines.
         """
         num_levels = self.array.num_levels
         if num_levels == 0:
@@ -284,43 +299,52 @@ class TrainingSimulator:
                 f"assignment covers {assignment.num_layers} layers, "
                 f"model has {len(model)}"
             )
-        return self._per_level_communication(
-            model, assignment, batch_size, cost_table
-        )
+        if cost_table is None:
+            cost_table = self.cost_table(model, batch_size)
+        else:
+            cost_table.check_compatible(
+                model,
+                batch_size,
+                num_levels,
+                self.scaling_mode,
+                self.communication_model,
+            )
+        return cost_table.level_communication(assignment)
 
-    def _run_analytic_step(
+    # ------------------------------------------------------------------
+    # The step graph.
+    # ------------------------------------------------------------------
+
+    def _run_step(
         self,
         model: DNNModel,
         batch_size: int,
         strategy_name: str,
-        level_comm: list[list["_LayerLevelComm"]],
+        level_comm: list,
+        links: AggregateLinks | RoutedLinks,
     ) -> tuple[TrainingStepReport, Schedule]:
-        """Build and run the analytic (aggregate-resource) task graph."""
-        num_levels = self.array.num_levels
-        engine = EventDrivenEngine()
-        pu = engine.resource("array-pu")
-        link_resources = [
-            engine.resource(f"link-level-{level}") for level in range(num_levels)
-        ]
-        # Per-level interconnect quantities, hoisted out of the task loops.
-        level_bandwidth = [
-            self.topology.effective_pair_bandwidth(level) for level in range(num_levels)
-        ]
-        level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
+        """Build one training step's task graph on ``links`` and run it.
 
-        accelerators = self.array.accelerators()
-        reference_accelerator = accelerators[0]
-        num_accelerators = self.array.num_accelerators
+        The walk, the pass cache and the energy and byte accounting are
+        engine-independent; ``links`` decides which resources a compute
+        task occupies, how one exchange becomes link tasks, and whether
+        the predecessor's backward waits on a layer's gradient exchange.
+        """
+        array = self.array
+        num_levels = array.num_levels
+        num_accelerators = array.num_accelerators
+        reference_accelerator = array.accelerators()[0]
+        energy_model = array.energy_model
+        level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
+        engine = links.engine
+        compute_resources = links.compute_resources
+        exchange = links.exchange
 
         compute_energy = 0.0
         sram_energy = 0.0
         dram_energy = 0.0
         comm_energy = 0.0
         level_comm_bytes = [0.0] * num_levels
-
-        # ------------------------------------------------------------------
-        # Helper closures.
-        # ------------------------------------------------------------------
 
         pass_cache = self._pass_cache
 
@@ -350,7 +374,7 @@ class TrainingSimulator:
             return engine.add_task(
                 name,
                 execution.seconds,
-                resources=(pu,),
+                resources=compute_resources,
                 deps=deps,
                 tags={"phase": phase, "kind": "compute", "layer": layer.name},
             )
@@ -360,84 +384,51 @@ class TrainingSimulator:
             bytes_per_level: Sequence[float],
             phase: str,
             layer_name: str,
-            deps,
+            deps: tuple[Task, ...],
             chunks: int = 1,
-        ) -> Task:
-            """Chain one logical exchange across the hierarchy levels (deepest first).
+        ) -> tuple[Task, ...]:
+            """One logical exchange across the hierarchy levels (deepest first).
 
-            With ``chunks > 1`` (pipeline stage boundaries) each level's
-            transfer is split into that many chained micro-batch tasks and
-            the *first* chunk of the shallowest level is returned, so the
-            downstream consumer overlaps the remaining micro-batches while
-            the link stays occupied for the full transfer.
+            Returns the gate tasks the downstream consumer waits on.  With
+            ``chunks > 1`` (pipeline stage boundaries) each level's transfer
+            is split into that many chained micro-batch tasks and the gates
+            are the *first* chunks of the shallowest level, so the consumer
+            overlaps the remaining micro-batches while the links stay
+            occupied for the full transfer.
             """
             nonlocal comm_energy
-            gate: Task | None = None
-            last: Task | None = None
-            chain_deps = tuple(deps)
-            for level in reversed(range(num_levels)):
-                per_pair = bytes_per_level[level]
-                if per_pair <= 0:
-                    continue
-                num_pairs = 1 << level
-                level_comm_bytes[level] += per_pair * num_pairs
-                duration = per_pair / level_bandwidth[level]
-                comm_energy += self.array.energy_model.communication_energy_bytes(
-                    per_pair * num_pairs, level_hops[level]
-                )
-                first, level_last = engine.add_microbatched_task(
-                    f"{name}/L{level}",
-                    duration,
-                    chunks,
-                    resources=(link_resources[level],),
-                    deps=chain_deps if last is None else (last,),
-                    tags={
-                        "phase": phase,
-                        "kind": "communication",
-                        "layer": layer_name,
-                        "level": level,
-                    },
-                )
-                gate = first
-                last = level_last
-            if last is None:
+            tags = {"phase": phase, "kind": "communication", "layer": layer_name}
+            levels = [
+                level for level in reversed(range(num_levels)) if bytes_per_level[level] > 0
+            ]
+            if not levels:
                 # Zero-byte exchange: nothing occupies a link, but the
                 # exchange must still be represented by a *communication*
-                # marker -- returning the upstream task directly would hand
-                # consumers a compute task standing in for a communication
-                # gate, mislabeling every tag-based trace of the schedule.
-                last = engine.add_task(
-                    f"{name}/none",
-                    0.0,
-                    deps=chain_deps,
-                    tags={"phase": phase, "kind": "communication", "layer": layer_name},
+                # marker -- handing consumers the upstream task would let a
+                # compute task stand in for a communication gate,
+                # mislabeling every tag-based trace of the schedule.
+                return (engine.add_task(f"{name}/none", 0.0, deps=deps, tags=tags),)
+            for level in levels:
+                moved = bytes_per_level[level] * (1 << level)
+                level_comm_bytes[level] += moved
+                comm_energy += energy_model.communication_energy_bytes(
+                    moved, level_hops[level]
                 )
-                gate = last
-            # Micro-batched exchanges gate the downstream on the first chunk
-            # of the shallowest level; unsplit exchanges on the final task.
-            return gate if chunks > 1 else last
-
-        # ------------------------------------------------------------------
-        # Forward pass.
-        # ------------------------------------------------------------------
+            return exchange(name, bytes_per_level, levels, deps, chunks, tags)
 
         layers = list(model)
         is_chain = model.is_chain
         #: Consumers of every layer, ascending -- chain: [index + 1].
         layer_consumers = [model.consumers(layer.index) for layer in layers]
+        #: Every layer's ``(choice, intra, incoming)`` record per level.
+        layer_records = list(zip(*level_comm))
         # A boundary adjacent to a pipeline (stage-local) layer at any level
         # carries micro-batched stage transfers; everything else keeps the
-        # historical unsplit task graph.
-        if num_levels:
-            layer_pipelined = [
-                any(
-                    level_comm[level][index].parallelism is Parallelism.PIPELINE
-                    for level in range(num_levels)
-                )
-                for index in range(len(layers))
-            ]
-        else:
-            layer_pipelined = [False] * len(layers)
+        # unsplit task graph.
+        layer_pipelined = [
+            any(choice is Parallelism.PIPELINE for choice, _, _ in records)
+            for records in layer_records
+        ]
 
         def edge_chunks(source: int, destination: int) -> int:
             """Micro-batch chunks of the edge ``source -> destination``."""
@@ -446,135 +437,134 @@ class TrainingSimulator:
             return 1
 
         def edge_task_name(prefix: str, source_layer, destination: int) -> str:
-            # Chains keep the historical single-name scheme (the source
-            # layer has at most one outgoing boundary); DAG fan-out needs
-            # the destination to keep task names unique.
+            # Chains keep the single-name scheme (the source layer has at
+            # most one outgoing boundary); DAG fan-out needs the destination
+            # to keep task names unique.
             if is_chain:
                 return f"{prefix}/{source_layer.name}"
             return f"{prefix}/{source_layer.name}->{layers[destination].name}"
 
-        def input_position(destination: int, source: int) -> int:
-            """Position of ``source`` among ``destination``'s declared inputs."""
-            return layers[destination].inputs.index(source)
+        def intra_bytes(index: int, phase: str) -> list[float]:
+            """The layer's intra exchange, if its strategy runs it in ``phase``."""
+            return [
+                intra if strategy_spec(choice).intra_phase == phase else 0.0
+                for choice, intra, _ in layer_records[index]
+            ]
 
-        # Gate task of every forward edge: what the consumer's compute
-        # depends on (the source's intra tail, or its boundary re-layout
-        # when one is scheduled).
-        forward_edge_gate: dict[tuple[int, int], Task] = {}
-        tail: Task | None = None
+        def inter_bytes(source: int, destination: int, direction: int) -> list[float]:
+            """Re-layout bytes of the edge (1: forward features, 2: backward errors)."""
+            position = layers[destination].inputs.index(source)
+            return [
+                incoming[position][direction]
+                for _, _, incoming in layer_records[destination]
+            ]
+
+        # ------------------------------------------------------------------
+        # Forward pass.  Every edge's gate is what the consumer's compute
+        # waits on: the source's intra tail, or its boundary re-layout when
+        # one is scheduled.
+        # ------------------------------------------------------------------
+
+        forward_edge_gate: dict[tuple[int, int], tuple[Task, ...]] = {}
+        tail: tuple[Task, ...] = ()
         for layer in layers:
             deps = tuple(
-                forward_edge_gate[(source, layer.index)] for source in layer.inputs
+                task
+                for source in layer.inputs
+                for task in forward_edge_gate[(source, layer.index)]
             )
             macs = batch_size * layer.macs_per_sample
             words = batch_size * (
                 layer.input_shape.elements + layer.output_shape.elements
             ) + layer.weight_count
-            compute = add_compute(
-                f"forward/{layer.name}", layer, macs, words, "forward", deps
-            )
-            tail = compute
+            tail = (add_compute(f"forward/{layer.name}", layer, macs, words, "forward", deps),)
             if num_levels:
                 # Strategies whose intra exchange happens in forward (mp's
                 # output-feature partial-sum reduction) run it now.
-                intra = [
-                    record.intra_bytes
-                    if strategy_spec(record.parallelism).intra_phase == "forward"
-                    else 0.0
-                    for record in (level_comm[level][layer.index] for level in range(num_levels))
-                ]
                 tail = add_communication(
-                    f"forward-intra/{layer.name}", intra, "forward", layer.name, (compute,)
+                    f"forward-intra/{layer.name}",
+                    intra_bytes(layer.index, "forward"),
+                    "forward",
+                    layer.name,
+                    tail,
                 )
-                # Boundary re-layout of the feature map crossing each
-                # outgoing edge (chain: the single next-layer boundary).
-                for destination in layer_consumers[layer.index]:
-                    position = input_position(destination, layer.index)
-                    inter = [
-                        level_comm[level][destination].incoming[position][1]
-                        for level in range(num_levels)
-                    ]
+            for destination in layer_consumers[layer.index]:
+                gate = tail
+                if num_levels:
+                    # Boundary re-layout of the feature map crossing the edge.
                     gate = add_communication(
                         edge_task_name("forward-inter", layer, destination),
-                        inter,
+                        inter_bytes(layer.index, destination, 1),
                         "forward",
                         layer.name,
-                        (tail,),
+                        tail,
                         chunks=edge_chunks(layer.index, destination),
                     )
-                    forward_edge_gate[(layer.index, destination)] = gate
-                    if is_chain:
-                        tail = gate
-            else:
-                for destination in layer_consumers[layer.index]:
-                    forward_edge_gate[(layer.index, destination)] = tail
+                forward_edge_gate[(layer.index, destination)] = gate
+                if is_chain:
+                    tail = gate
 
         # ------------------------------------------------------------------
         # Backward pass (error backward + gradient computation + update),
-        # proceeding from the last layer towards the first.  A layer's
-        # backward waits for every consumer's backward chain (branch joins
-        # respect the fan-in), and its outgoing-edge error re-layouts are
-        # charged before its gradient computation, as on chains.
+        # from the last layer towards the first.  A layer's backward waits
+        # for every consumer's error (branch joins respect the fan-in), and
+        # its outgoing-edge error re-layouts are charged before its
+        # gradient computation.
         # ------------------------------------------------------------------
 
-        forward_final: Task | None = tail
-        backward_final: dict[int, Task] = {}
+        forward_final = tail
+        error_ready: dict[int, tuple[Task, ...]] = {}
         for layer in reversed(layers):
             consumers = layer_consumers[layer.index]
             if consumers:
-                deps = tuple(backward_final[destination] for destination in consumers)
+                deps = tuple(
+                    task for destination in consumers for task in error_ready[destination]
+                )
             else:
-                deps = (forward_final,) if forward_final is not None else ()
+                deps = forward_final
             macs = batch_size * layer.macs_per_sample
             backward_words = batch_size * (
                 layer.input_shape.elements + layer.output_shape.elements
             ) + layer.weight_count
-            backward = add_compute(
-                f"backward/{layer.name}", layer, macs, backward_words, "backward", deps
+            tail = (
+                add_compute(
+                    f"backward/{layer.name}", layer, macs, backward_words, "backward", deps
+                ),
             )
-            tail = backward
             if num_levels:
-                # Error re-layout across each outgoing edge.
                 for destination in consumers:
-                    position = input_position(destination, layer.index)
-                    inter = [
-                        level_comm[level][destination].incoming[position][2]
-                        for level in range(num_levels)
-                    ]
                     tail = add_communication(
                         edge_task_name("backward-inter", layer, destination),
-                        inter,
+                        inter_bytes(layer.index, destination, 2),
                         "backward",
                         layer.name,
-                        (tail,),
+                        tail,
                         chunks=edge_chunks(layer.index, destination),
                     )
+            # With gradient overlap the predecessor's backward needs only
+            # the propagated error, not this layer's weight-gradient work.
+            error_ready[layer.index] = tail
 
             gradient_words = batch_size * (
                 layer.input_shape.elements + layer.output_shape.elements
             ) + 3 * layer.weight_count
-            gradient = add_compute(
-                f"gradient/{layer.name}",
-                layer,
-                macs,
-                gradient_words,
-                "gradient",
-                (tail,),
+            tail = (
+                add_compute(
+                    f"gradient/{layer.name}", layer, macs, gradient_words, "gradient", tail
+                ),
             )
-            tail = gradient
             if num_levels:
                 # Strategies whose intra exchange happens at the weight
                 # update (dp's gradient reduction) run it now.
-                intra = [
-                    record.intra_bytes
-                    if strategy_spec(record.parallelism).intra_phase == "gradient"
-                    else 0.0
-                    for record in (level_comm[level][layer.index] for level in range(num_levels))
-                ]
                 tail = add_communication(
-                    f"gradient-intra/{layer.name}", intra, "gradient", layer.name, (gradient,)
+                    f"gradient-intra/{layer.name}",
+                    intra_bytes(layer.index, "gradient"),
+                    "gradient",
+                    layer.name,
+                    tail,
                 )
-            backward_final[layer.index] = tail
+            if not links.overlap_gradient:
+                error_ready[layer.index] = tail
 
         schedule = engine.run()
 
@@ -613,134 +603,49 @@ class TrainingSimulator:
         )
         return report, schedule
 
-    # ------------------------------------------------------------------
-    # Per-level communication pre-computation.
-    # ------------------------------------------------------------------
 
-    def _per_level_communication(
-        self,
-        model: DNNModel,
-        assignment: HierarchicalAssignment,
-        batch_size: int,
-        cost_table: HierarchicalCostTable | None = None,
-    ) -> list[list["_LayerLevelComm"]]:
-        """Per-hierarchy-level, per-layer communication records (bytes per pair).
+class AggregateLinks:
+    """The analytic engine's link model: aggregate resources per level.
 
-        Gathered from the compiled cost table: the scale-descent outcomes
-        are derived once per (model, batch) and shared across every
-        simulated assignment instead of rebuilding the tensor lists level by
-        level for each point of a sweep.
-        """
-        if cost_table is None:
-            cost_table = self.cost_table(model, batch_size)
-        else:
-            cost_table.check_compatible(
-                model,
-                batch_size,
-                assignment.num_levels,
-                self.scaling_mode,
-                self.communication_model,
-            )
-        return [
-            [
-                _LayerLevelComm(
-                    parallelism=choice,
-                    intra_bytes=intra,
-                    incoming=incoming,
-                )
-                for choice, intra, incoming in level_records
-            ]
-            for level_records in cost_table.level_communication(assignment)
+    All compute serializes on one array-wide ``array-pu`` resource, and each
+    hierarchy level is one ``link-level-h`` resource running at the
+    effective bandwidth the topology gives a pair boundary.  The levels of
+    one exchange chain deepest-first (a hierarchical reduction proceeds
+    level by level), and the gradient exchange gates the predecessor's
+    backward.
+    """
+
+    overlap_gradient = False
+
+    def __init__(self, array: ArrayConfig, topology: Topology | None) -> None:
+        self.engine = EventDrivenEngine()
+        self.compute_resources = (self.engine.resource("array-pu"),)
+        self._links = [
+            self.engine.resource(f"link-level-{level}")
+            for level in range(array.num_levels)
+        ]
+        self._bandwidth = [
+            topology.effective_pair_bandwidth(level) for level in range(array.num_levels)
         ]
 
-
-class _LayerLevelComm:
-    """Communication of one layer at one hierarchy level (bytes per pair).
-
-    ``incoming`` lists the layer's incoming-edge re-layouts as
-    ``(source_layer, forward_bytes, backward_bytes)`` tuples in input
-    order; a chain layer has at most one entry, a merge layer one per
-    branch.
-    """
-
-    __slots__ = ("parallelism", "intra_bytes", "incoming")
-
-    def __init__(
+    def exchange(
         self,
-        parallelism: Parallelism,
-        intra_bytes: float,
-        incoming: tuple[tuple[int, float, float], ...],
-    ) -> None:
-        self.parallelism = parallelism
-        self.intra_bytes = intra_bytes
-        self.incoming = incoming
-
-    @property
-    def inter_forward_bytes(self) -> float:
-        return sum(record[1] for record in self.incoming)
-
-    @property
-    def inter_backward_bytes(self) -> float:
-        return sum(record[2] for record in self.incoming)
-
-    @property
-    def inter_bytes(self) -> float:
-        return self.inter_forward_bytes + self.inter_backward_bytes
-
-    @property
-    def total_bytes(self) -> float:
-        return self.intra_bytes + self.inter_bytes
-
-
-class AnalyticBackend:
-    """:class:`~repro.sim.backend.SimulatorBackend` for the analytic engine."""
-
-    name = "analytic"
-
-    def run_step(
-        self,
-        simulator: "TrainingSimulator",
-        model: DNNModel,
-        batch_size: int,
-        strategy_name: str,
-        level_comm: list,
-    ) -> tuple[TrainingStepReport, Schedule]:
-        return simulator._run_analytic_step(
-            model, batch_size, strategy_name, level_comm
-        )
-
-
-def simulate_partitioned(
-    model: DNNModel,
-    batch_size: int = 256,
-    array: ArrayConfig | None = None,
-    topology: Topology | None = None,
-    scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-    strategies: StrategySpace | str | None = None,
-) -> tuple[TrainingStepReport, HierarchicalAssignment]:
-    """Deprecated convenience helper: search HyPar's assignment, then simulate.
-
-    .. deprecated::
-        Kept as a bit-exact shim over :func:`repro.sim.api.simulate`; the
-        replacement takes a :class:`~repro.sim.api.SimulationSpec` and also
-        selects the simulation engine (``sim_engine="network"``).
-    """
-    warnings.warn(
-        "simulate_partitioned is deprecated. use repro.sim.simulate with a "
-        "SimulationSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.api import SimulationSpec, simulate
-
-    result = simulate(
-        model,
-        spec=SimulationSpec(
-            batch_size=batch_size,
-            array=array,
-            topology=topology,
-            scaling_mode=scaling_mode,
-            strategies=strategies,
-        ),
-    )
-    return result.report, result.assignment
+        name: str,
+        bytes_per_level: Sequence[float],
+        levels: Sequence[int],
+        deps: tuple[Task, ...],
+        chunks: int,
+        tags: dict,
+    ) -> tuple[Task, ...]:
+        """Chain the exchange over ``levels``; gate on the shallowest level."""
+        first = last = None
+        for level in levels:
+            first, last = self.engine.add_microbatched_task(
+                f"{name}/L{level}",
+                bytes_per_level[level] / self._bandwidth[level],
+                chunks,
+                resources=(self._links[level],),
+                deps=deps if last is None else (last,),
+                tags={**tags, "level": level},
+            )
+        return (first,) if chunks > 1 else (last,)

@@ -4,10 +4,11 @@ import pytest
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism
-from repro.sim import SIM_ENGINES, SimulationSpec, get_backend, simulate
+from repro.core.costs import HierarchicalCostTable
+from repro.sim import SIM_ENGINES, SimulationSpec, simulate
 from repro.sim.backend import validate_sim_engine
 from repro.sim.engine import Schedule
-from repro.sim.training import TrainingSimulator, simulate_partitioned
+from repro.sim.training import TrainingSimulator
 
 
 class TestSimulationSpec:
@@ -54,20 +55,21 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="known engines"):
             validate_sim_engine("psychic")
 
-    def test_backends_are_singletons_with_matching_names(self):
-        for name in SIM_ENGINES:
-            backend = get_backend(name)
-            assert backend.name == name
-            assert get_backend(name) is backend
-
 
 class TestSimulateEntryPoint:
-    def test_searches_when_no_assignment_given(self, lenet_model):
-        spec = SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4))
+    @pytest.mark.parametrize("num_accelerators, num_levels", [(4, 2), (16, 4)])
+    def test_searches_when_no_assignment_given(
+        self, lenet_model, num_accelerators, num_levels
+    ):
+        spec = SimulationSpec(
+            batch_size=64, array=ArrayConfig(num_accelerators=num_accelerators)
+        )
         result = simulate(lenet_model, spec=spec)
         assert result.report.strategy_name == "HyPar"
+        assert result.report.num_accelerators == num_accelerators
+        assert result.report.communication_bytes > 0
         assert result.assignment is not None
-        assert result.assignment.num_levels == 2
+        assert result.assignment.num_levels == num_levels
         assert result.sim_engine == "analytic"
         assert isinstance(result.schedule, Schedule)
         assert result.step_seconds == result.report.step_seconds
@@ -109,20 +111,17 @@ class TestSimulateEntryPoint:
             simulator.simulate(lenet_model, assignment, 64, sim_engine="nope")
 
 
-class TestDeprecatedShim:
-    def test_simulate_partitioned_warns_and_matches_the_new_api(self, lenet_model):
-        with pytest.warns(
-            DeprecationWarning, match="simulate_partitioned is deprecated"
-        ):
-            report, assignment = simulate_partitioned(
-                lenet_model, batch_size=64, array=ArrayConfig(num_accelerators=4)
-            )
-        result = simulate(
-            lenet_model,
-            spec=SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4)),
-        )
-        # Bit-exact delegation: same floats, same searched assignment.
-        assert report.step_seconds == result.report.step_seconds
-        assert report.energy_joules == result.report.energy_joules
-        assert report.communication_bytes == result.report.communication_bytes
-        assert assignment == result.assignment
+class TestGivenCostTable:
+    def test_search_rejects_a_table_for_another_batch(self, lenet_model):
+        spec = SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4))
+        table = HierarchicalCostTable(lenet_model, 128, 2)
+        with pytest.raises(ValueError, match="different"):
+            simulate(lenet_model, spec=spec, cost_table=table)
+
+    def test_search_uses_a_matching_table(self, lenet_model):
+        spec = SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4))
+        table = HierarchicalCostTable(lenet_model, 64, 2)
+        given = simulate(lenet_model, spec=spec, cost_table=table)
+        compiled = simulate(lenet_model, spec=spec)
+        assert given.assignment == compiled.assignment
+        assert given.report == compiled.report

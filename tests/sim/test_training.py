@@ -7,7 +7,7 @@ from repro.core.baselines import data_parallelism, model_parallelism
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import DATA, HierarchicalAssignment
 from repro.interconnect import HTreeTopology, TorusTopology
-from repro.sim.training import PHASES, TrainingSimulator, simulate_partitioned
+from repro.sim.training import PHASES, TrainingSimulator
 
 
 @pytest.fixture(scope="module")
@@ -177,20 +177,3 @@ class TestTopologies:
     def test_single_accelerator_with_topology_rejected(self):
         with pytest.raises(ValueError):
             TrainingSimulator(ArrayConfig(num_accelerators=1), HTreeTopology(2, 200e6))
-
-
-class TestSimulatePartitioned:
-    def test_returns_report_and_assignment(self, lenet_model):
-        with pytest.warns(DeprecationWarning, match="simulate_partitioned is deprecated"):
-            report, assignment = simulate_partitioned(lenet_model, batch_size=256)
-        assert report.strategy_name == "HyPar"
-        assert assignment.num_levels == 4
-        assert report.communication_bytes > 0
-
-    def test_custom_array_size(self, lenet_model):
-        with pytest.warns(DeprecationWarning, match="simulate_partitioned is deprecated"):
-            report, assignment = simulate_partitioned(
-                lenet_model, batch_size=64, array=ArrayConfig(num_accelerators=4)
-            )
-        assert report.num_accelerators == 4
-        assert assignment.num_levels == 2
