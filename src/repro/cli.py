@@ -93,74 +93,100 @@ from repro.analysis.scalability import run_scalability_study
 from repro.analysis.topology_study import run_topology_study
 from repro.analysis.trick_study import run_trick_study
 from repro.core import kernels
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import DEFAULT_SPACE, StrategySpace
+from repro.core.costmodel import resolve_cost_model
 from repro.core.strategies import registered_strategies
 from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import all_model_builders, get_model
-from repro.sim.backend import DEFAULT_SIM_ENGINE, SIM_ENGINES
+from repro.platform import PLATFORM_FIELDS, TOPOLOGY_NAMES, PlatformSpec, canonical_settings
+from repro.sim.backend import SIM_ENGINES
 
-
-def _add_platform_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="training batch size (default: %(default)s, the paper's setting)",
-    )
-    parser.add_argument(
+#: :class:`PlatformSpec` field -> (flag, metavar, help) of its option.
+_PLATFORM_OPTIONS = {
+    "batch_size": ("--batch-size", None, "training batch size"),
+    "num_accelerators": (
         "--accelerators",
-        type=int,
-        default=16,
-        help="number of accelerators in the array; must be a power of two "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
+        None,
+        "number of accelerators in the array; must be a power of two",
+    ),
+    "topology": (
+        "--topology",
+        "{" + ",".join(TOPOLOGY_NAMES) + "}",
+        "interconnect joining the accelerators",
+    ),
+    "scaling_mode": (
         "--scaling-mode",
-        choices=[mode.value for mode in ScalingMode],
-        default=ScalingMode.PARALLELISM_AWARE.value,
-        help="how tensor amounts shrink at deeper hierarchy levels "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
+        "{" + ",".join(mode.value for mode in ScalingMode) + "}",
+        "how tensor amounts shrink at deeper hierarchy levels",
+    ),
+    "strategies": (
         "--strategies",
-        type=StrategySpace.parse,
-        default=DEFAULT_SPACE,
-        metavar="LIST",
-        help="comma-separated per-layer strategy space searched at every "
-        "level, e.g. dp,mp,pp (default: dp,mp, the paper's axis; see "
-        "'hypar strategies')",
-    )
+        "LIST",
+        "comma-separated per-layer strategy space searched at every level, "
+        "e.g. dp,mp,pp (dp,mp is the paper's axis; see 'hypar strategies')",
+    ),
+    "cost_model": (
+        "--cost-model",
+        "SPEC",
+        "where the Table-1/2 cost numbers come from: 'analytic' (the "
+        "paper's formulas) or 'profiled:<pack>' with a shipped profile "
+        "pack name or a path to a hypar-profile/v1 JSON (see "
+        "repro.core.costmodel)",
+    ),
+    "sim_engine": (
+        "--sim-engine",
+        "{" + ",".join(SIM_ENGINES) + "}",
+        "step-time engine: 'analytic' (the paper's closed-form link model) "
+        "or 'network' (contention-aware discrete-event simulation of the "
+        "physical links; see repro.sim.network)",
+    ),
+}
+
+def _dest(field: str) -> str:
+    """The ``args`` attribute of a setting's option (``--accelerators`` -> ``accelerators``)."""
+    return _PLATFORM_OPTIONS[field][0][2:].replace("-", "_")
+
+
+def _setting(field: str):
+    """An argparse ``type``: one setting, judged and spelled by :class:`PlatformSpec`.
+
+    ``--scaling-mode UNIFORM`` reads as ``uniform``; a bad value is a usage
+    error naming the flag, judged exactly as every other entry point would.
+    """
+
+    def parse(text: str):
+        # A non-integer count raises here: "invalid batch_size value".
+        value = int(text) if field in ("batch_size", "num_accelerators") else text
+        try:
+            return canonical_settings(**{field: value})[field]
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    parse.__name__ = field
+    return parse
+
+
+def _add_platform_options(
+    parser: argparse.ArgumentParser, *fields: str, overrides: bool = False
+) -> None:
+    """Add the options of ``fields``; with ``overrides`` an unset one stays ``None``."""
+    for field in fields:
+        flag, metavar, text = _PLATFORM_OPTIONS[field]
+        default = None if overrides else getattr(PlatformSpec, field)
+        parser.add_argument(
+            flag,
+            type=_setting(field),
+            default=default,
+            metavar=metavar,
+            help=text
+            + (" (default: the spec's own axis)" if overrides else " (default: %(default)s)"),
+        )
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    _add_platform_options(parser)
+    _add_platform_options(
+        parser, "batch_size", "num_accelerators", "scaling_mode", "strategies", "cost_model"
+    )
     _add_backend_option(parser)
-    _add_cost_model_option(parser)
-
-
-def _add_cost_model_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cost-model",
-        default="analytic",
-        metavar="SPEC",
-        help="where the Table-1/2 cost numbers come from: 'analytic' (the "
-        "paper's formulas) or 'profiled:<pack>' with a shipped profile "
-        "pack name or a path to a hypar-profile/v1 JSON (see "
-        "repro.core.costmodel; default: %(default)s)",
-    )
-
-
-def _add_sim_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sim-engine",
-        choices=SIM_ENGINES,
-        default=DEFAULT_SIM_ENGINE,
-        help="step-time engine: 'analytic' (the paper's closed-form link "
-        "model) or 'network' (contention-aware discrete-event simulation "
-        "of the physical links; see repro.sim.network; "
-        "default: %(default)s)",
-    )
 
 
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
@@ -178,14 +204,14 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_runner(args: argparse.Namespace, include_trick: bool = False) -> ExperimentRunner:
-    array = ArrayConfig(num_accelerators=args.accelerators)
+    platform = args.platform
     return ExperimentRunner(
-        array=array,
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
+        array=ArrayConfig(num_accelerators=platform.num_accelerators),
+        batch_size=platform.batch_size,
+        scaling_mode=platform.scaling_mode,
         include_trick=include_trick,
-        strategies=getattr(args, "strategies", None),
-        cost_model=getattr(args, "cost_model", "analytic"),
+        strategies=platform.strategies,
+        cost_model=platform.cost_model,
     )
 
 
@@ -317,9 +343,9 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
     study = run_scalability_study(
         model=model,
         array_sizes=sizes,
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
+        batch_size=args.platform.batch_size,
+        scaling_mode=args.platform.scaling_mode,
+        strategies=args.platform.strategies,
     )
     rows = study.as_rows()
     print(
@@ -358,10 +384,10 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     models = [get_model(name) for name in args.models] if args.models else None
     study = run_topology_study(
         models=models,
-        array=ArrayConfig(num_accelerators=args.accelerators),
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
+        array=ArrayConfig(num_accelerators=args.platform.num_accelerators),
+        batch_size=args.platform.batch_size,
+        scaling_mode=args.platform.scaling_mode,
+        strategies=args.platform.strategies,
     )
     rows = {
         row["model"]: {"Torus": row["torus"], "H Tree": row["h_tree"]}
@@ -380,7 +406,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_trick(args: argparse.Namespace) -> int:
     study = run_trick_study(
-        scaling_mode=args.scaling_mode, strategies=args.strategies
+        scaling_mode=args.platform.scaling_mode, strategies=args.platform.strategies
     )
     rows = {
         row["config"]: {
@@ -400,8 +426,27 @@ def _cmd_trick(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_spec(args: argparse.Namespace):
+    """The spec, each given ``--cost-model``/``--sim-engine`` replacing its axis.
+
+    Every cost model is resolved, so a missing pack fails before the grid starts.
+    """
+    import dataclasses
+
+    from repro.sweep import load_spec
+
+    spec = load_spec(args.spec)
+    if args.cost_model is not None:
+        spec = dataclasses.replace(spec, cost_models=(args.cost_model,))
+    if args.sim_engine is not None:
+        spec = dataclasses.replace(spec, sim_engines=(args.sim_engine,))
+    for cost_model in spec.cost_models:
+        resolve_cost_model(cost_model)
+    return spec
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import HYPAR, PRESETS, SweepEngine, load_spec, run_sweep
+    from repro.sweep import HYPAR, PRESETS, SweepEngine, run_sweep
 
     if args.list:
         print("sweep presets:")
@@ -412,19 +457,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: a spec (preset name or .json path) is required", file=sys.stderr)
         return 2
 
-    spec = load_spec(args.spec)
-    if args.cost_model != "analytic":
-        # The flag overrides the spec's cost-model axis wholesale: the
-        # whole grid runs under the named provider.
-        import dataclasses
-
-        spec = dataclasses.replace(spec, cost_models=(args.cost_model,))
-    if args.sim_engine != "analytic":
-        # Likewise for the engine axis: the whole grid runs through the
-        # network simulator.
-        import dataclasses
-
-        spec = dataclasses.replace(spec, sim_engines=(args.sim_engine,))
+    spec = args.sweep_spec
     print(spec.describe())
     # The backend is passed explicitly (not just set as the process
     # default) so spawn-started workers adopt it too.
@@ -486,11 +519,11 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         print(f"trace: {args.emit_trace}")
     config = ReplanConfig(
         model=args.model,
-        batch_size=args.batch_size,
+        batch_size=args.platform.batch_size,
         policy=args.policy,
-        scaling_mode=args.scaling_mode,
+        scaling_mode=args.platform.scaling_mode,
         horizon_steps=args.horizon_steps,
-        cost_model=args.cost_model,
+        cost_model=args.platform.cost_model,
     )
     report = run_replan(trace, config)
     print(report.describe())
@@ -508,7 +541,7 @@ def _cmd_placement(args: argparse.Namespace) -> int:
     result = runner.optimized_parallelism(model)
     placement = TensorPlacement(model, result.assignment)
     placement.validate()
-    print(placement_summary(placement, args.batch_size))
+    print(placement_summary(placement, args.platform.batch_size))
     return 0
 
 
@@ -518,8 +551,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     runner = _build_runner(args)
     result = runner.optimized_parallelism(model)
-    trace = TraceBuilder(scaling_mode=ScalingMode.parse(args.scaling_mode)).build(
-        model, result.assignment, args.batch_size
+    trace = TraceBuilder(scaling_mode=args.platform.scaling_mode).build(
+        model, result.assignment, args.platform.batch_size
     )
     print(
         f"{model.name}: {len(trace.transfers)} transfers, "
@@ -539,35 +572,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.baselines import data_parallelism, model_parallelism
-    from repro.interconnect import HTreeTopology, TorusTopology
-    from repro.sim.api import SimulationSpec
     from repro.sim.api import simulate as run_simulation
 
     model = get_model(args.model)
-    array = ArrayConfig(num_accelerators=args.accelerators)
-    topology = None
-    if args.accelerators > 1:
-        topology_type = {"htree": HTreeTopology, "torus": TorusTopology}[args.topology]
-        topology = topology_type(args.accelerators, array.link_bandwidth_bytes)
-
+    spec = args.platform.simulation_spec()
     assignment = None
     strategy_name = None
     if args.strategy == "dp":
-        assignment = data_parallelism(model, array.num_levels)
+        assignment = data_parallelism(model, spec.array.num_levels)
         strategy_name = "Data Parallelism"
     elif args.strategy == "mp":
-        assignment = model_parallelism(model, array.num_levels)
+        assignment = model_parallelism(model, spec.array.num_levels)
         strategy_name = "Model Parallelism"
-
-    spec = SimulationSpec(
-        batch_size=args.batch_size,
-        array=array,
-        topology=topology,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
-        sim_engine=args.sim_engine,
-        cost_model=args.cost_model,
-    )
     _print_simulation(run_simulation(model, assignment, spec, strategy_name=strategy_name))
     return 0
 
@@ -641,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     partition_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
     _add_common_options(partition_parser)
-    partition_parser.set_defaults(handler=_cmd_partition)
+    partition_parser.set_defaults(handler=_cmd_partition, searches=True)
 
     compare_parser = subparsers.add_parser(
         "compare", help="simulate MP / DP / HyPar for a set of networks (Figures 6-8)"
@@ -655,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='also simulate "one weird trick"',
     )
     _add_common_options(compare_parser)
-    compare_parser.set_defaults(handler=_cmd_compare)
+    compare_parser.set_defaults(handler=_cmd_compare, searches=True)
 
     scalability_parser = subparsers.add_parser(
         "scalability", help="sweep the array size (Figure 11)"
@@ -678,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
     )
     _add_common_options(topology_parser)
-    topology_parser.set_defaults(handler=_cmd_topology)
+    topology_parser.set_defaults(handler=_cmd_topology, searches=True)
 
     trick_parser = subparsers.add_parser(
         "trick", help='compare HyPar with "one weird trick" (Figure 13)'
@@ -715,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list the built-in sweep presets"
     )
     _add_backend_option(sweep_parser)
-    _add_cost_model_option(sweep_parser)
-    _add_sim_engine_option(sweep_parser)
+    _add_platform_options(sweep_parser, "cost_model", "sim_engine", overrides=True)
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     serve_parser = subparsers.add_parser(
@@ -777,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for --fault-preset schedules (default: %(default)s)",
     )
     _add_backend_option(serve_parser)
-    _add_cost_model_option(serve_parser)
+    _add_platform_options(serve_parser, "cost_model")
     serve_parser.set_defaults(handler=_cmd_serve)
 
     replan_parser = subparsers.add_parser(
@@ -828,19 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="training steps the hysteresis policy amortizes a voluntary "
         "migration over (default: %(default)s)",
     )
-    replan_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="training batch size (default: %(default)s)",
-    )
-    replan_parser.add_argument(
-        "--scaling-mode",
-        choices=[mode.value for mode in ScalingMode],
-        default=ScalingMode.PARALLELISM_AWARE.value,
-        help="tensor scaling at deeper hierarchy levels (default: %(default)s)",
-    )
-    _add_cost_model_option(replan_parser)
+    _add_platform_options(replan_parser, "batch_size", "scaling_mode", "cost_model")
     replan_parser.add_argument(
         "--out", metavar="DIR", help="write the replan.json / replan.csv artifacts"
     )
@@ -856,14 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     placement_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
     _add_common_options(placement_parser)
-    placement_parser.set_defaults(handler=_cmd_placement)
+    placement_parser.set_defaults(handler=_cmd_placement, searches=True)
 
     trace_parser = subparsers.add_parser(
         "trace", help="summarise the communication trace of one training step"
     )
     trace_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
     _add_common_options(trace_parser)
-    trace_parser.set_defaults(handler=_cmd_trace)
+    trace_parser.set_defaults(handler=_cmd_trace, searches=True)
 
     simulate_parser = subparsers.add_parser(
         "simulate",
@@ -879,19 +882,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to simulate: HyPar's searched assignment or a uniform "
         "baseline (default: %(default)s)",
     )
-    simulate_parser.add_argument(
-        "--topology",
-        choices=("htree", "torus"),
-        default="htree",
-        help="interconnect joining the accelerators (default: %(default)s)",
-    )
-    _add_platform_options(simulate_parser)
-    _add_sim_engine_option(simulate_parser)
+    _add_platform_options(simulate_parser, *PLATFORM_FIELDS)
     _add_backend_option(simulate_parser)
-    _add_cost_model_option(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)
 
     return parser
+
+
+def _platform(args: argparse.Namespace) -> PlatformSpec | None:
+    """The :class:`PlatformSpec` of a command with ``--batch-size``, else ``None``.
+
+    The CLI may name profile files, so the cost model is resolved here; a
+    search needs at least two accelerators, as ``POST /partition`` does.
+    """
+    if not hasattr(args, "batch_size"):
+        return None
+    platform = PlatformSpec(
+        **{
+            field: getattr(args, _dest(field))
+            for field in PLATFORM_FIELDS
+            if hasattr(args, _dest(field))
+        }
+    )
+    if getattr(args, "searches", False) and platform.num_accelerators < 2:
+        raise ValueError(
+            "a partition search needs at least 2 accelerators, "
+            f"got {platform.num_accelerators}"
+        )
+    resolve_cost_model(platform.cost_model)
+    return platform
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -904,6 +923,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # workers through the pool initializer (so spawn-started workers
         # match fork-started ones).  Explicit per-request backends win.
         kernels.set_default_backend(args.backend)
+    try:
+        args.platform = _platform(args)
+        if args.command == "sweep" and args.spec:
+            args.sweep_spec = _sweep_spec(args)
+    except (ValueError, OSError) as error:
+        parser.error(str(error))
     return args.handler(args)
 
 

@@ -37,6 +37,7 @@ import dataclasses
 from typing import Mapping
 
 from repro.accelerator.array import ArrayConfig
+from repro.core.costmodel import ANALYTIC_SPEC
 from repro.core.hierarchical import (
     DEFAULT_BATCH_SIZE,
     HierarchicalPartitioner,
@@ -44,19 +45,22 @@ from repro.core.hierarchical import (
 )
 from repro.core.placement import Interval, TensorPlacement
 from repro.core.tensors import ScalingMode
-from repro.core.parallelism import StrategySpace
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model
 from repro.nn.model_zoo import canonical_model_name
-from repro.sweep import artifacts
-from repro.sweep.cache import runtime_cached, shared_table_cache
-from repro.sweep.spec import TOPOLOGY_NAMES, SweepPoint
+from repro.platform import canonical_settings
 from repro.resilience.traces import AvailabilityTrace
+from repro.sweep import artifacts
+from repro.sweep.cache import runtime_cached
+from repro.sweep.spec import SweepPoint
 
 #: Re-planning policies ``hypar replan --policy`` accepts.
 POLICIES = ("every-event", "hysteresis")
 
 #: Decision labels recorded per trace event.
 ACTIONS = ("replan", "remap", "none", "down")
+
+#: The :class:`~repro.platform.PlatformSpec` settings a scenario fixes; the
+#: array size follows the surviving fleet.
+_PLATFORM_SETTINGS = ("batch_size", "topology", "scaling_mode", "strategies", "cost_model")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,25 +81,17 @@ class ReplanConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", canonical_model_name(self.model))
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        settings = canonical_settings(
+            **{name: getattr(self, name) for name in _PLATFORM_SETTINGS}
+        )
+        for name, value in settings.items():
+            object.__setattr__(self, name, value)
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown replan policy {self.policy!r}; known: {', '.join(POLICIES)}"
             )
-        if self.topology not in TOPOLOGY_NAMES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-            )
-        object.__setattr__(
-            self, "scaling_mode", ScalingMode.parse(self.scaling_mode).value
-        )
-        object.__setattr__(
-            self, "strategies", StrategySpace.parse(self.strategies).describe()
-        )
         if self.horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        object.__setattr__(self, "cost_model", canonical_cost_model(self.cost_model))
 
     def to_payload(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -185,14 +181,11 @@ class ElasticReplanner:
     # ------------------------------------------------------------------
 
     def _point(self, num_levels: int) -> SweepPoint:
-        return SweepPoint.single(
+        return SweepPoint(
+            index=0,
             model=self.config.model,
-            batch_size=self.config.batch_size,
             num_accelerators=1 << num_levels,
-            topology=self.config.topology,
-            scaling_mode=self.config.scaling_mode,
-            strategies=self.config.strategies,
-            cost_model=self.config.cost_model,
+            **{name: getattr(self.config, name) for name in _PLATFORM_SETTINGS},
         )
 
     def _solve(self, num_levels: int) -> tuple[tuple[str, ...], float, float, "TensorPlacement | None"]:

@@ -36,6 +36,7 @@ repeated traffic without recompiling anything.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -57,7 +58,7 @@ from repro.service.schemas import (
     ServiceRequest,
     SimulateRequest,
     SweepRequest,
-    _canonical_cost_model_spec,
+    shipped_cost_model,
 )
 from repro.sweep.artifacts import payload_to_json
 from repro.sweep.cache import runtime_cached, shared_table_cache
@@ -129,7 +130,7 @@ class HyParService:
     ) -> None:
         # Canonicalize (and reject unknown packs) at startup, not per
         # request; raises the same SchemaError a bad request field would.
-        self.default_cost_model = _canonical_cost_model_spec(default_cost_model)
+        self.default_cost_model = shipped_cost_model(default_cost_model)
         self.result_cache = ResultCache(cache_size)
         # Coalesces compiles across *different* requests sharing one cost
         # table (e.g. /partition + /simulate of the same configuration).
@@ -345,16 +346,7 @@ class HyParService:
         }
 
     def _simulate_body(self, request: SimulateRequest) -> bytes:
-        point = SweepPoint.single(
-            model=request.model,
-            batch_size=request.batch_size,
-            num_accelerators=request.num_accelerators,
-            topology=request.topology,
-            scaling_mode=request.scaling_mode,
-            strategies=request.strategies,
-            cost_model=request.cost_model,
-            sim_engine=request.sim_engine,
-        )
+        point = SweepPoint.single(**dataclasses.asdict(request))
         record = evaluate_point(point)
         return _render(
             {

@@ -3,8 +3,9 @@
 Every POST endpoint validates its JSON body against a small frozen
 dataclass here.  Validation is strict (unknown fields are rejected with a
 message naming the known ones) and canonicalizing: model names resolve to
-their canonical zoo spelling, scaling modes and strategy spaces to their
-canonical short forms, and missing fields fill with the paper's defaults.
+their canonical zoo spelling, the platform settings are spelled by
+:class:`~repro.platform.PlatformSpec` (the canonicalizer the CLI, sweeps
+and replan share), and missing fields fill with the paper's defaults.
 Two payloads describing the same work -- fields reordered, aliases used,
 defaults spelled out or omitted -- therefore canonicalize to *equal*
 requests and hash to the same cache key.
@@ -22,17 +23,15 @@ import hashlib
 import json
 from typing import Mapping
 
+from repro.accelerator.array import DEFAULT_NUM_ACCELERATORS
 from repro.core import kernels
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, shipped_profiles
+from repro.core.costmodel import ANALYTIC_SPEC, shipped_profiles
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import canonical_model_name
-from repro.sim.backend import DEFAULT_SIM_ENGINE, validate_sim_engine
-from repro.sweep.spec import PRESETS, TOPOLOGY_NAMES, SweepSpec
-
-#: Default array size (the paper's sixteen-accelerator platform).
-DEFAULT_NUM_ACCELERATORS = 16
+from repro.platform import PLATFORM_FIELDS, PlatformSpec
+from repro.sim.backend import DEFAULT_SIM_ENGINE
+from repro.sweep.spec import PRESETS, SweepSpec
 
 
 class SchemaError(ValueError):
@@ -45,6 +44,11 @@ def _require_mapping(payload, what: str) -> Mapping:
             f"{what} must be a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+def _field_names(schema) -> tuple[str, ...]:
+    """A flat schema's body fields: its dataclass fields, in order."""
+    return tuple(field.name for field in dataclasses.fields(schema))
 
 
 def _reject_unknown(payload: Mapping, known: tuple[str, ...], what: str) -> None:
@@ -83,39 +87,6 @@ def _canonical_model(payload: Mapping) -> str:
         raise SchemaError(str(error.args[0])) from None
 
 
-def _canonical_batch(payload: Mapping) -> int:
-    batch = _int_field(payload, "batch_size", DEFAULT_BATCH_SIZE)
-    if batch <= 0:
-        raise SchemaError(f"field 'batch_size' must be positive, got {batch}")
-    return batch
-
-
-def _canonical_accelerators(payload: Mapping, minimum: int) -> int:
-    count = _int_field(payload, "num_accelerators", DEFAULT_NUM_ACCELERATORS)
-    if count < minimum or count & (count - 1):
-        raise SchemaError(
-            f"field 'num_accelerators' must be a power of two >= {minimum}, "
-            f"got {count}"
-        )
-    return count
-
-
-def _canonical_scaling(payload: Mapping) -> str:
-    text = _str_field(payload, "scaling_mode", ScalingMode.PARALLELISM_AWARE.value)
-    try:
-        return ScalingMode.parse(text).value
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
-
-
-def _canonical_strategies(payload: Mapping) -> str:
-    text = _str_field(payload, "strategies", "dp,mp")
-    try:
-        return StrategySpace.parse(text).describe()
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
-
-
 def _canonical_backend(payload: Mapping) -> str:
     # The daemon's canonical default is the concrete "numpy", not the
     # process default, so request hashes cannot drift with server flags.
@@ -127,49 +98,45 @@ def _canonical_backend(payload: Mapping) -> str:
     return text
 
 
-def _canonical_cost_model_spec(text: str) -> str:
-    """Canonicalize one cost-model spec string, shipped packs only.
+def _require_shipped(cost_model: str) -> None:
+    """Reject a profiled cost model that does not name a shipped pack.
 
     The daemon never opens caller-named files: a profiled spec must name a
     pack shipped under ``repro/core/profiles`` (the CLI may pass paths,
-    the service may not).
+    the service may not).  This runs on the canonical spelling, before
+    anything resolves the pack, because resolving ``profiled:<path>``
+    would open that path on the server.
     """
-    try:
-        spec = canonical_cost_model(text)
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
-    if spec != ANALYTIC_SPEC:
-        pack = spec.split(":", 1)[1]
+    if cost_model != ANALYTIC_SPEC:
+        pack = cost_model.split(":", 1)[1]
         shipped = shipped_profiles()
         if pack not in shipped:
             raise SchemaError(
                 f"unknown profile pack {pack!r}; shipped packs: "
                 f"{', '.join(sorted(shipped))}"
             )
-    return spec
 
 
-def _canonical_cost_model(payload: Mapping) -> str:
-    return _canonical_cost_model_spec(
-        _str_field(payload, "cost_model", ANALYTIC_SPEC)
-    )
+def _platform(payload: Mapping, fields: tuple[str, ...]) -> dict:
+    """The canonical platform settings among ``fields``, read from ``payload``.
 
-
-def _canonical_sim_engine(payload: Mapping) -> str:
-    text = _str_field(payload, "sim_engine", DEFAULT_SIM_ENGINE)
+    Omitted settings take the paper's defaults; :class:`PlatformSpec`
+    validates and spells them, and a bad value becomes a SchemaError.
+    """
+    names = [name for name in fields if name in PLATFORM_FIELDS]
     try:
-        return validate_sim_engine(text.strip().lower())
+        settings = PlatformSpec(
+            **{name: payload[name] for name in names if name in payload}
+        )
     except ValueError as error:
         raise SchemaError(str(error)) from None
+    _require_shipped(settings.cost_model)
+    return {name: getattr(settings, name) for name in names}
 
 
-def _canonical_topology(payload: Mapping) -> str:
-    name = _str_field(payload, "topology", "htree").strip().lower()
-    if name not in TOPOLOGY_NAMES:
-        raise SchemaError(
-            f"unknown topology {name!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-        )
-    return name
+def shipped_cost_model(spec: str) -> str:
+    """Canonicalize one cost-model spec the daemon may use (shipped packs only)."""
+    return _platform({"cost_model": spec}, ("cost_model",))["cost_model"]
 
 
 class ServiceRequest:
@@ -217,15 +184,6 @@ class PartitionRequest(ServiceRequest):
     cost_model: str = ANALYTIC_SPEC
 
     kind = "partition"
-    _FIELDS = (
-        "model",
-        "batch_size",
-        "num_accelerators",
-        "scaling_mode",
-        "strategies",
-        "backend",
-        "cost_model",
-    )
 
     def coalesce_key(self) -> tuple:
         # Shared with /simulate: same table-relevant configuration.  The
@@ -244,16 +202,17 @@ class PartitionRequest(ServiceRequest):
     @classmethod
     def from_payload(cls, payload) -> "PartitionRequest":
         payload = _require_mapping(payload, "a /partition request")
-        _reject_unknown(payload, cls._FIELDS, "/partition")
-        return cls(
-            model=_canonical_model(payload),
-            batch_size=_canonical_batch(payload),
-            num_accelerators=_canonical_accelerators(payload, minimum=2),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
-            backend=_canonical_backend(payload),
-            cost_model=_canonical_cost_model(payload),
-        )
+        fields = _field_names(cls)
+        _reject_unknown(payload, fields, "/partition")
+        model = _canonical_model(payload)
+        settings = _platform(payload, fields)
+        if settings["num_accelerators"] < 2:
+            # A search splits the array at least once.
+            raise SchemaError(
+                "field 'num_accelerators' must be a power of two >= 2, "
+                f"got {settings['num_accelerators']}"
+            )
+        return cls(model=model, backend=_canonical_backend(payload), **settings)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,16 +229,6 @@ class SimulateRequest(ServiceRequest):
     sim_engine: str = DEFAULT_SIM_ENGINE
 
     kind = "simulate"
-    _FIELDS = (
-        "model",
-        "batch_size",
-        "num_accelerators",
-        "topology",
-        "scaling_mode",
-        "strategies",
-        "cost_model",
-        "sim_engine",
-    )
 
     def canonical_payload(self) -> dict:
         # The canonical "analytic" default is *omitted* so every request
@@ -307,18 +256,10 @@ class SimulateRequest(ServiceRequest):
     @classmethod
     def from_payload(cls, payload) -> "SimulateRequest":
         payload = _require_mapping(payload, "a /simulate request")
-        _reject_unknown(payload, cls._FIELDS, "/simulate")
-        return cls(
-            model=_canonical_model(payload),
-            batch_size=_canonical_batch(payload),
-            # 1 is allowed: the single-accelerator baseline point.
-            num_accelerators=_canonical_accelerators(payload, minimum=1),
-            topology=_canonical_topology(payload),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
-            cost_model=_canonical_cost_model(payload),
-            sim_engine=_canonical_sim_engine(payload),
-        )
+        fields = _field_names(cls)
+        _reject_unknown(payload, fields, "/simulate")
+        # One accelerator is allowed: the single-accelerator baseline point.
+        return cls(model=_canonical_model(payload), **_platform(payload, fields))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,7 +304,9 @@ class SweepRequest(ServiceRequest):
                 spec = SweepSpec.from_json(spec_payload)
             except (ValueError, TypeError) as error:
                 raise SchemaError(f"invalid sweep spec: {error}") from None
-        return cls(spec=_canonical_spec(spec).to_json())
+        for cost_model in spec.cost_models:
+            _require_shipped(cost_model)
+        return cls(spec=spec.to_json())
 
     def to_spec(self) -> SweepSpec:
         return SweepSpec.from_json(self.spec)
@@ -506,13 +449,9 @@ class ReplanRequest(ServiceRequest):
             ),
             num_nodes=num_nodes,
             horizon=trace.horizon,
-            batch_size=_canonical_batch(payload),
             policy=policy,
-            topology=_canonical_topology(payload),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
             horizon_steps=horizon_steps,
-            cost_model=_canonical_cost_model(payload),
+            **_platform(payload, cls._FIELDS),
         )
 
     def to_trace(self):
@@ -533,38 +472,5 @@ class ReplanRequest(ServiceRequest):
         from repro.resilience.replan import ReplanConfig
 
         return ReplanConfig(
-            model=self.model,
-            batch_size=self.batch_size,
-            policy=self.policy,
-            topology=self.topology,
-            scaling_mode=self.scaling_mode,
-            strategies=self.strategies,
-            horizon_steps=self.horizon_steps,
-            cost_model=self.cost_model,
+            **{name: getattr(self, name) for name in _field_names(ReplanConfig)}
         )
-
-
-def _canonical_spec(spec: SweepSpec) -> SweepSpec:
-    """The spec with every axis value in canonical spelling.
-
-    ``SweepSpec`` validates but preserves the caller's spellings; the
-    service normalizes them so equivalent specs share one cache entry and
-    one deterministic artifact.
-    """
-    try:
-        models = tuple(canonical_model_name(name) for name in spec.models)
-    except KeyError as error:
-        raise SchemaError(str(error.args[0])) from None
-    return dataclasses.replace(
-        spec,
-        models=models,
-        scaling_modes=tuple(
-            ScalingMode.parse(mode).value for mode in spec.scaling_modes
-        ),
-        strategy_spaces=tuple(
-            StrategySpace.parse(space).describe() for space in spec.strategy_spaces
-        ),
-        cost_models=tuple(
-            _canonical_cost_model_spec(model) for model in spec.cost_models
-        ),
-    )

@@ -15,8 +15,8 @@ training-step walk (:meth:`~repro.sim.training.TrainingSimulator._run_step`):
   :class:`~repro.interconnect.Topology` graph, with real link
   occupancy/queueing and compute/communication overlap.
 
-This module holds only the names and their validation, so the CLI, the
-service schemas and the sweep specs can check an engine spelling without
+This module holds only the names and their validation, so
+:class:`~repro.platform.PlatformSpec` can check an engine spelling without
 importing the simulator.
 """
 

@@ -17,11 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
-from repro.core.costmodel import resolve_cost_model
 from repro.core.hierarchical import HierarchicalPartitioner
-from repro.interconnect import HTreeTopology, Topology, TorusTopology
 from repro.nn.model_zoo import get_model
 from repro.sweep import artifacts
 from repro.sweep.cache import runtime_cached, shared_table_cache
@@ -35,32 +32,7 @@ DATA_PARALLELISM = "Data Parallelism"
 HYPAR = "HyPar"
 
 
-def _make_topology(name: str, num_accelerators: int, link_bandwidth_bytes: float) -> Topology:
-    if name == "htree":
-        return HTreeTopology(num_accelerators, link_bandwidth_bytes)
-    if name == "torus":
-        return TorusTopology(num_accelerators, link_bandwidth_bytes)
-    raise ValueError(f"unknown topology {name!r}")
-
-
 def _simulator_for(point: SweepPoint) -> TrainingSimulator:
-    def build() -> TrainingSimulator:
-        array = ArrayConfig(num_accelerators=point.num_accelerators)
-        topology = (
-            _make_topology(point.topology, point.num_accelerators, array.link_bandwidth_bytes)
-            if point.num_accelerators > 1
-            else None
-        )
-        return TrainingSimulator(
-            array,
-            topology,
-            communication_model=resolve_cost_model(point.cost_model).communication_model(),
-            scaling_mode=point.scaling_mode,
-            strategies=point.strategies,
-            table_cache=shared_table_cache(),
-            sim_engine=point.sim_engine,
-        )
-
     key = (
         "simulator",
         point.num_accelerators,
@@ -70,7 +42,9 @@ def _simulator_for(point: SweepPoint) -> TrainingSimulator:
         point.cost_model,
         point.sim_engine,
     )
-    return runtime_cached(key, build)
+    return runtime_cached(
+        key, lambda: point.simulation_spec().build_simulator(shared_table_cache())
+    )
 
 
 def _partitioner_for(point: SweepPoint, simulator: TrainingSimulator) -> HierarchicalPartitioner:

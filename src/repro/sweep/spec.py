@@ -14,16 +14,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from typing import Mapping
 
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model
+from repro.core.costmodel import ANALYTIC_SPEC
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
-from repro.sim.backend import DEFAULT_SIM_ENGINE, validate_sim_engine
-
-#: Topology names the runner can instantiate (see ``runner.TOPOLOGIES``).
-TOPOLOGY_NAMES = ("htree", "torus")
+from repro.nn.model_zoo import canonical_model_name
+from repro.platform import PlatformSpec, canonical_settings
+from repro.sim.backend import DEFAULT_SIM_ENGINE
 
 #: The paper's ten evaluation networks, in figure order.
 PAPER_MODELS = (
@@ -39,20 +38,26 @@ PAPER_MODELS = (
     "VGG-E",
 )
 
+#: Sweep axis -> the point field each of its values sets, in nesting order
+#: (models outermost).  Drives validation, expansion and the JSON form.
+AXES = {
+    "models": "model",
+    "batch_sizes": "batch_size",
+    "array_sizes": "num_accelerators",
+    "topologies": "topology",
+    "scaling_modes": "scaling_mode",
+    "strategy_spaces": "strategies",
+    "cost_models": "cost_model",
+    "sim_engines": "sim_engine",
+}
 
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """One configuration of the grid: a single search-plus-simulate job."""
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class SweepPoint(PlatformSpec):
+    """One grid configuration: a validated platform plus its index and model."""
 
     index: int
     model: str
-    batch_size: int
-    num_accelerators: int
-    topology: str
-    scaling_mode: str
-    strategies: str
-    cost_model: str = ANALYTIC_SPEC
-    sim_engine: str = DEFAULT_SIM_ENGINE
 
     def label(self) -> str:
         """Compact human-readable point id used in logs and artifacts."""
@@ -69,46 +74,36 @@ class SweepPoint:
         return base
 
     @classmethod
-    def single(
-        cls,
-        model: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        num_accelerators: int = 16,
-        topology: str = "htree",
-        scaling_mode: "ScalingMode | str" = ScalingMode.PARALLELISM_AWARE,
-        strategies: "StrategySpace | str | None" = None,
-        cost_model: str = ANALYTIC_SPEC,
-        sim_engine: str = DEFAULT_SIM_ENGINE,
-    ) -> "SweepPoint":
-        """One standalone, fully validated and canonicalized grid point.
+    def single(cls, model: str, **settings) -> "SweepPoint":
+        """One standalone grid point (index 0) of ``model``.
 
         The reusable entry for callers that want exactly one
         search-plus-simulate job -- the service's ``/simulate`` endpoint,
-        scripts -- with the same axis validation and canonical spellings a
-        one-point :class:`SweepSpec` would produce (``ValueError`` on bad
-        axes, like the spec).
+        scripts.  ``settings`` are :class:`~repro.platform.PlatformSpec`
+        fields; omitted ones take the paper's defaults, bad ones raise
+        ``ValueError``.
         """
-        spec = SweepSpec(
-            name="point",
-            models=(model,),
-            batch_sizes=(batch_size,),
-            array_sizes=(num_accelerators,),
-            topologies=(topology,),
-            scaling_modes=(ScalingMode.parse(scaling_mode).value,),
-            strategy_spaces=(StrategySpace.parse(strategies).describe(),),
-            cost_models=(canonical_cost_model(cost_model),),
-            sim_engines=(validate_sim_engine(sim_engine),),
-        )
-        return spec.points()[0]
+        return cls(index=0, model=model, **settings)
+
+
+def _canonical_axis_value(field: str, value):
+    if field != "model":
+        return canonical_settings(**{field: value})[field]
+    if not isinstance(value, str):
+        raise ValueError(f"model names must be strings, got {value!r}")
+    try:
+        return canonical_model_name(value)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
 
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """The grid: every combination of the axes is one :class:`SweepPoint`.
 
-    ``array_sizes`` entries must be powers of two; size ``1`` is allowed
-    and simulates the single-accelerator baseline (no topology, no
-    assignment), as in the scalability study.
+    Axis values are canonicalized on construction (models by zoo name, the
+    rest by :class:`~repro.platform.PlatformSpec`).  Array size ``1``
+    simulates the single-accelerator baseline, as in the scalability study.
     """
 
     name: str
@@ -124,47 +119,18 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a sweep spec needs a name")
-        for axis in (
-            "models",
-            "batch_sizes",
-            "array_sizes",
-            "topologies",
-            "scaling_modes",
-            "strategy_spaces",
-            "cost_models",
-            "sim_engines",
-        ):
+        for axis, field in AXES.items():
             values = getattr(self, axis)
-            object.__setattr__(self, axis, tuple(values))
-            if not getattr(self, axis):
+            if isinstance(values, str):
+                # tuple("VGG-A") would silently explode into letters.
+                raise ValueError(
+                    f"sweep spec axis {axis!r} must be a list, got the "
+                    f"string {values!r}"
+                )
+            values = tuple(_canonical_axis_value(field, value) for value in values)
+            if not values:
                 raise ValueError(f"sweep axis {axis!r} must not be empty")
-        for batch in self.batch_sizes:
-            if batch <= 0:
-                raise ValueError(f"batch sizes must be positive, got {batch}")
-        for size in self.array_sizes:
-            if size < 1 or size & (size - 1):
-                raise ValueError(
-                    f"array sizes must be powers of two >= 1, got {size}"
-                )
-        for topology in self.topologies:
-            if topology not in TOPOLOGY_NAMES:
-                raise ValueError(
-                    f"unknown topology {topology!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-                )
-        for mode in self.scaling_modes:
-            ScalingMode.parse(mode)  # raises on unknown modes
-        for space in self.strategy_spaces:
-            StrategySpace.parse(space)  # raises on unknown strategies
-        object.__setattr__(
-            self,
-            "cost_models",
-            tuple(canonical_cost_model(spec) for spec in self.cost_models),
-        )
-        object.__setattr__(
-            self,
-            "sim_engines",
-            tuple(validate_sim_engine(engine) for engine in self.sim_engines),
-        )
+            object.__setattr__(self, axis, values)
 
     # ------------------------------------------------------------------
     # Expansion.
@@ -172,52 +138,14 @@ class SweepSpec:
 
     @property
     def num_points(self) -> int:
-        return (
-            len(self.models)
-            * len(self.batch_sizes)
-            * len(self.array_sizes)
-            * len(self.topologies)
-            * len(self.scaling_modes)
-            * len(self.strategy_spaces)
-            * len(self.cost_models)
-            * len(self.sim_engines)
-        )
+        return math.prod(len(getattr(self, axis)) for axis in AXES)
 
     def points(self) -> tuple[SweepPoint, ...]:
         """The grid in deterministic order (models outermost)."""
+        grid = itertools.product(*(getattr(self, axis) for axis in AXES))
         return tuple(
-            SweepPoint(
-                index=index,
-                model=model,
-                batch_size=batch_size,
-                num_accelerators=num_accelerators,
-                topology=topology,
-                scaling_mode=ScalingMode.parse(scaling_mode).value,
-                strategies=StrategySpace.parse(strategies).describe(),
-                cost_model=cost_model,
-                sim_engine=sim_engine,
-            )
-            for index, (
-                model,
-                batch_size,
-                num_accelerators,
-                topology,
-                scaling_mode,
-                strategies,
-                cost_model,
-                sim_engine,
-            ) in enumerate(
-                itertools.product(
-                    self.models,
-                    self.batch_sizes,
-                    self.array_sizes,
-                    self.topologies,
-                    self.scaling_modes,
-                    self.strategy_spaces,
-                    self.cost_models,
-                    self.sim_engines,
-                )
-            )
+            SweepPoint(index=index, **dict(zip(AXES.values(), values)))
+            for index, values in enumerate(grid)
         )
 
     # ------------------------------------------------------------------
@@ -225,17 +153,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "models": list(self.models),
-            "batch_sizes": list(self.batch_sizes),
-            "array_sizes": list(self.array_sizes),
-            "topologies": list(self.topologies),
-            "scaling_modes": list(self.scaling_modes),
-            "strategy_spaces": list(self.strategy_spaces),
-            "cost_models": list(self.cost_models),
-            "sim_engines": list(self.sim_engines),
-        }
+        return {"name": self.name, **{axis: list(getattr(self, axis)) for axis in AXES}}
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "SweepSpec":
@@ -248,26 +166,7 @@ class SweepSpec:
             )
         if "name" not in payload or "models" not in payload:
             raise ValueError("a sweep spec requires at least 'name' and 'models'")
-        kwargs = {key: payload[key] for key in payload}
-        for axis in (
-            "models",
-            "batch_sizes",
-            "array_sizes",
-            "topologies",
-            "scaling_modes",
-            "strategy_spaces",
-            "cost_models",
-            "sim_engines",
-        ):
-            if axis in kwargs:
-                if isinstance(kwargs[axis], str):
-                    # tuple("VGG-A") would silently explode into letters.
-                    raise ValueError(
-                        f"sweep spec axis {axis!r} must be a list, got the "
-                        f"string {kwargs[axis]!r}"
-                    )
-                kwargs[axis] = tuple(kwargs[axis])
-        return cls(**kwargs)
+        return cls(**payload)
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":

@@ -176,6 +176,94 @@ class TestSweepCommand:
         assert parallel_out == serial_out
 
 
+    def test_given_analytic_flags_override_a_profiled_network_spec(self, tmp_path, capsys):
+        import json
+
+        spec_path = tmp_path / "calibrated.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "name": "calibrated",
+                    "models": ["Lenet-c"],
+                    "batch_sizes": [64],
+                    "array_sizes": [4],
+                    "cost_models": ["profiled:slow-interconnect"],
+                    "sim_engines": ["network"],
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        command = ["sweep", str(spec_path), "--out", str(out_dir)]
+        assert main(command) == 0
+        assert "/profiled:slow-interconnect/network" in capsys.readouterr().out
+        (row,) = json.loads((out_dir / "calibrated.json").read_text())["rows"]
+        assert (row["cost_model"], row["sim_engine"]) == (
+            "profiled:slow-interconnect",
+            "network",
+        )
+        assert main(command + ["--cost-model", "analytic", "--sim-engine", "analytic"]) == 0
+        out = capsys.readouterr().out
+        assert "/profiled" not in out and "/network" not in out
+        (row,) = json.loads((out_dir / "calibrated.json").read_text())["rows"]
+        assert row["cost_model"] == "analytic"
+        assert "sim_engine" not in row
+
+
+class TestUsageErrors:
+    """A bad platform setting is a usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["partition", "AlexNet", "--accelerators", "12"], "power of two"),
+            (["partition", "AlexNet", "--accelerators", "1"], "at least 2 accelerators"),
+            (["partition", "AlexNet", "--batch-size", "0"], "must be positive"),
+            (["compare", "Lenet-c", "--batch-size", "-4"], "must be positive"),
+            (["replan", "--batch-size", "0"], "must be positive"),
+            (["partition", "AlexNet", "--cost-model", "profiled:typo"], "unknown profile pack 'typo'"),
+            (["simulate", "Lenet-c", "--topology", "mesh"], "unknown topology"),
+            (["simulate", "Lenet-c", "--sim-engine", "psychic"], "unknown sim engine"),
+            (["sweep", "smoke", "--cost-model", "profiled:typo"], "unknown profile pack 'typo'"),
+        ],
+    )
+    def test_bad_values_exit_2_with_a_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"name": "bad", "models": ["Lenet-c"], "array_sizes": [12]}, "power of two"),
+            ({"name": "bad", "models": ["Lenet-c"], "batch_sizes": [True]}, "integer"),
+            ({"name": "bad", "models": ["no-such-net"]}, "known models"),
+            ({"name": "bad", "models": ["Lenet-c"], "surprise": 1}, "unknown sweep spec keys"),
+        ],
+    )
+    def test_a_bad_sweep_spec_exits_2(self, tmp_path, capsys, spec, message):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "hypar: error:" in err and message in err
+
+    def test_settings_parse_to_their_canonical_spelling(self):
+        args = build_parser().parse_args(
+            ["simulate", "Lenet-c", "--scaling-mode", "UNIFORM", "--topology", " Torus ",
+             "--sim-engine", "Network", "--strategies", " dp , mp "]
+        )
+        assert (args.scaling_mode, args.topology, args.sim_engine, args.strategies) == (
+            "uniform", "torus", "network", "dp,mp",
+        )
+
+
 class TestSimulateCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["simulate", "Lenet-c"])
