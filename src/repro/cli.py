@@ -141,6 +141,7 @@ _PLATFORM_OPTIONS = {
     ),
 }
 
+
 def _dest(field: str) -> str:
     """The ``args`` attribute of a setting's option (``--accelerators`` -> ``accelerators``)."""
     return _PLATFORM_OPTIONS[field][0][2:].replace("-", "_")

@@ -81,10 +81,8 @@ class ReplanConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", canonical_model_name(self.model))
-        settings = canonical_settings(
-            **{name: getattr(self, name) for name in _PLATFORM_SETTINGS}
-        )
-        for name, value in settings.items():
+        platform = {name: getattr(self, name) for name in _PLATFORM_SETTINGS}
+        for name, value in canonical_settings(**platform).items():
             object.__setattr__(self, name, value)
         if self.policy not in POLICIES:
             raise ValueError(

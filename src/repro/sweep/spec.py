@@ -15,7 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.core.costmodel import ANALYTIC_SPEC
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
@@ -121,12 +121,9 @@ class SweepSpec:
             raise ValueError("a sweep spec needs a name")
         for axis, field in AXES.items():
             values = getattr(self, axis)
-            if isinstance(values, str):
-                # tuple("VGG-A") would silently explode into letters.
-                raise ValueError(
-                    f"sweep spec axis {axis!r} must be a list, got the "
-                    f"string {values!r}"
-                )
+            # tuple("VGG-A") would silently explode into letters.
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ValueError(f"sweep spec axis {axis!r} must be a list, got {values!r}")
             values = tuple(_canonical_axis_value(field, value) for value in values)
             if not values:
                 raise ValueError(f"sweep axis {axis!r} must not be empty")

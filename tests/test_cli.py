@@ -241,6 +241,7 @@ class TestUsageErrors:
             ({"name": "bad", "models": ["Lenet-c"], "batch_sizes": [True]}, "integer"),
             ({"name": "bad", "models": ["no-such-net"]}, "known models"),
             ({"name": "bad", "models": ["Lenet-c"], "surprise": 1}, "unknown sweep spec keys"),
+            ({"name": "bad", "models": ["Lenet-c"], "batch_sizes": 64}, "must be a list"),
         ],
     )
     def test_a_bad_sweep_spec_exits_2(self, tmp_path, capsys, spec, message):
