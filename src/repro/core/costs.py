@@ -19,10 +19,15 @@ paper's binary dp/mp axis by default):
   inter-layer traffic (bytes) of layer-DAG edge ``e = (src, dst)``
   (``table.edges``) when its endpoints use codes ``c`` and ``d`` -- for a
   chain, edge ``e`` is the historical boundary ``(e, e + 1)``.  The table
-  supports the K-way array dynamic program of Algorithm 1 on chains, the
-  cut-vertex dynamic program with batched branch-interior enumeration on
-  DAGs (:meth:`CostTable.dp_partition`), and batched scoring of arbitrary
-  base-K digit-patterns (:meth:`CostTable.score_codes`).
+  supports the K-way dynamic program of Algorithm 1
+  (:meth:`CostTable.dp_partition`) and batched scoring of arbitrary base-K
+  digit-patterns (:meth:`CostTable.score_codes`).  One DP driver serves
+  chains and DAGs: it advances over *cut segments* (the stretches between
+  layers no edge jumps across; on a chain, every layer transition),
+  detects repeated segments once, replays a converged periodic region by
+  translation under one exactness certificate, and backtracks once.  Only
+  the segment step is per kind: the layer recurrence on chains (NumPy or
+  the compiled kernel), batched branch-interior enumeration on DAGs.
 * :class:`HierarchicalCostTable` -- every hierarchy level at once.  Under
   :attr:`~repro.core.tensors.ScalingMode.PARALLELISM_AWARE` scaling a
   layer's tensor amounts at level ``h`` depend only on how many of its
@@ -50,10 +55,8 @@ bit* with the object-based reference path, which remains the oracle:
   resolve ties to the lowest digit-pattern, matching the enumeration order
   of the reference brute force.
 
-For the default dp/mp space the base-2 digit encoding *is* the historical
-bit encoding, so ``score_bits`` / ``from_bits`` callers see byte-identical
-results; those entry points are kept as thin deprecated shims over
-``score_codes`` / ``from_codes``.
+For the default dp/mp space the base-2 digit encoding *is* the paper's
+dp/mp bit encoding (0 = dp, 1 = mp, least-significant digit = layer 0).
 
 Breakdown objects are *lazy*: batch scorers return raw totals and only the
 winning candidates are materialized into
@@ -67,7 +70,6 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
-import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -135,8 +137,8 @@ _MEMOIZE_MIN_BLOCKS = 16
 
 #: Largest block-space period the DAG repetition detector probes.  A
 #: residual transformer's cut segments alternate between the skip-free
-#: connector and the skip-spanning interior (period 2); small bound, the
-#: per-probe comparisons are tiny slices.
+#: connector and the skip-spanning interior (period 2); the small bound
+#: keeps the detection cheap on aperiodic graphs.
 _MAX_BLOCK_PERIOD = 8
 
 #: Test hook: cumulative DAG periodic-block-jump statistics for the
@@ -156,8 +158,9 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Chain-DP inner loop: NumPy / compiled advancement plus block-repetition
-# memoization.  Shared by CostTable.dp_partition and WarmStartDP.solve.
+# Module-level pieces of the DP driver -- the chain layer step and the
+# exactness certificate -- and the digit-aligned chunk bound shared by the
+# pruned enumerations.
 # ----------------------------------------------------------------------
 
 
@@ -200,54 +203,15 @@ def _chain_advancer(backend: str):
     return _advance_chain_numpy
 
 
-def _detect_periodic_region(
-    intra: np.ndarray, inter: np.ndarray
-) -> tuple[int, int, int] | None:
-    """Smallest ``(period, first, stop)`` with transitions ``first:stop`` periodic.
-
-    Transition ``j`` (into layer ``j + 1``) is the cost pair
-    ``(inter[j], intra[j + 1])``; two transitions are equivalent when
-    their entries are numerically equal, making the DP treat them
-    identically.  Periods are probed in ascending order with one
-    vectorized shifted comparison each, and the longest run of shift-equal
-    transitions wins (an embedding stem before and a classifier head after
-    the repeated blocks are the norm, so the periodic region rarely
-    reaches either end of the chain).  Requires at least four full periods
-    so the stabilization check (step two blocks, jump the rest) has room
-    to pay off.  Returns ``None`` on aperiodic chains.
-    """
-    num_layers = intra.shape[0]
-    num_transitions = num_layers - 1
-    for period in range(1, min(_MAX_MEMO_PERIOD, num_transitions // 4) + 1):
-        # equal[j]: transition j matches transition j + period.
-        equal = np.all(inter[period:] == inter[:-period], axis=(1, 2)) & np.all(
-            intra[1 + period :] == intra[1 : num_layers - period], axis=1
-        )
-        # Longest run of consecutive shift-equal transitions.
-        padded = np.concatenate(([False], equal, [False]))
-        changes = np.flatnonzero(padded[1:] != padded[:-1])
-        if changes.size == 0:
-            continue
-        run_starts = changes[::2]
-        run_lengths = changes[1::2] - run_starts
-        longest = int(np.argmax(run_lengths))
-        first = int(run_starts[longest])
-        length = int(run_lengths[longest])
-        # ``equal[j]`` ties transition ``j`` to ``j + period``, so the
-        # periodic region covers ``length + period`` transitions.
-        if (length + period) // period >= 4:
-            return period, first, first + length + period
-    return None
-
-
 def _exactness_shift(arrays: Sequence[np.ndarray], magnitude: float) -> int | None:
     """Power-of-two shift making every entry an exact scaled integer.
 
     When all values are dyadic rationals at scale ``2**shift`` and every
     intermediate magnitude stays below ``2**53 / 2**shift``, IEEE double
     addition of these values is *exact* -- the precondition for replaying
-    a converged DP block by translation instead of recomputation.  Returns
-    ``None`` when no such shift exists (jump declined, stepping continues).
+    a converged DP period by translation instead of recomputation.
+    Returns ``None`` when no such shift exists (jump declined, stepping
+    continues).
     """
     for array in arrays:
         if not np.all(np.isfinite(array)):
@@ -261,146 +225,67 @@ def _exactness_shift(arrays: Sequence[np.ndarray], magnitude: float) -> int | No
     return None
 
 
-def _try_periodic_jump(
-    intra: np.ndarray,
+def _chunk_lower_bound(
+    head: np.ndarray,
+    rows: np.ndarray,
     inter: np.ndarray,
-    parents: np.ndarray,
-    frontiers: np.ndarray,
-    cursor: int,
-    period: int,
-    count: int,
-) -> bool:
-    """Replay ``count`` converged blocks after boundary layer ``cursor``.
+    local_edges: Sequence[tuple[int, int, int]],
+    base: int,
+    chunk_limit: int,
+):
+    """Digit-aligned chunking of a digit block plus a per-chunk lower bound.
 
-    ``cursor`` is the first layer *after* two fully stepped period blocks.
-    The jump fires only when the DP has provably entered its steady state:
+    Digit ``d`` of a pattern is the strategy code of row ``d``: row 0
+    costs ``head`` (a DAG segment's entering frontier, or layer 0's intra
+    row), later rows cost ``rows[d]``, and ``local_edges`` lists the
+    block's ``(edge_index, source_digit, destination_digit)`` in ascending
+    edge order.  The ``free_digits`` lowest digits vary inside a chunk of
+    ``chunk_span = base**free_digits <= chunk_limit`` patterns; the high
+    digits are fixed per chunk.
 
-    * the last two blocks chose identical parent rows, and the frontier
-      advanced by a *uniform* per-period increment ``delta`` (max-plus
-      theory: the power iteration of a periodic transition matrix
-      converges to uniform growth);
-    * an exactness certificate holds (:func:`_exactness_shift`): every
-      participating value is a bounded dyadic rational, so the float adds
-      the skipped stepping *would* perform are exact and therefore equal
-      ``previous block + delta`` bit for bit -- including every argmin
-      tie, which is decided by exact comparisons of translated values.
-
-    On success the jumped frontier rows are broadcast translations of the
-    last stepped block and the parent rows are tiled copies; the caller's
-    result is byte-identical to cold stepping.  Returns ``False`` (caller
-    keeps stepping) when any certificate fails.
+    Returns ``(free_digits, chunk_span, bound)``.  ``bound(chunk)`` prices
+    chunk ``chunk``'s fixed digits exactly and every free term by its
+    minimum (costs are nonnegative byte counts, so the sum bounds every
+    pattern in the chunk from below); ``bound`` is ``None`` when one
+    chunk covers every pattern.  The bound associates its adds
+    differently from the exact scorers, so callers compare it under
+    :data:`_PRUNE_MARGIN`.
     """
-    num_strategies = frontiers.shape[1]
-    boundary = frontiers[cursor - 1]
-    previous_boundary = frontiers[cursor - period - 1]
-    delta = boundary - previous_boundary
-    if not np.all(delta == delta[0]):
-        return False
-    if not np.array_equal(
-        parents[cursor - period - 1 : cursor - 1],
-        parents[cursor - 2 * period - 1 : cursor - period - 1],
-    ):
-        return False
-    step = float(delta[0])
-    intra_block = intra[cursor - period : cursor]
-    inter_block = inter[cursor - period - 1 : cursor - 1]
-    block_max = max(
-        float(np.abs(intra_block).max()), float(np.abs(inter_block).max()), 1.0
-    )
-    magnitude = (
-        float(np.abs(boundary).max())
-        + (count + 2) * (abs(step) + block_max * (period + 2))
-    )
-    shift = _exactness_shift(
-        [boundary, np.array([step]), intra_block, inter_block], magnitude
-    )
-    if shift is None:
-        return False
-    base_frontiers = frontiers[cursor - period : cursor]  # (period, K)
-    base_parents = parents[cursor - period - 1 : cursor - 1]
-    offsets = np.arange(1, count + 1, dtype=np.float64) * step
-    frontiers[cursor : cursor + count * period] = (
-        base_frontiers[None, :, :] + offsets[:, None, None]
-    ).reshape(count * period, num_strategies)
-    parents[cursor - 1 : cursor - 1 + count * period] = np.tile(
-        base_parents, (count, 1)
-    )
-    return True
+    num_digits = rows.shape[0]
+    free_digits = 0
+    chunk_span = 1
+    while free_digits < num_digits and chunk_span * base <= chunk_limit:
+        chunk_span *= base
+        free_digits += 1
+    if free_digits == num_digits:
+        return free_digits, chunk_span, None
+    free_floor = float(head.min())
+    for digit in range(1, free_digits):
+        free_floor += float(rows[digit].min())
+    fixed_edges = []
+    cross_edges = []
+    for edge_index, source, destination in local_edges:
+        if destination < free_digits:
+            free_floor += float(inter[edge_index].min())
+        elif source >= free_digits:
+            fixed_edges.append((edge_index, source - free_digits, destination - free_digits))
+        else:
+            cross_edges.append((edge_index, destination - free_digits))
 
+    def bound(chunk: int) -> float:
+        fixed = _decode_digits(
+            np.array([chunk], dtype=np.int64), num_digits - free_digits, base
+        )[0]
+        total = free_floor
+        for digit in range(free_digits, num_digits):
+            total += float(rows[digit, fixed[digit - free_digits]])
+        for edge_index, source, destination in fixed_edges:
+            total += float(inter[edge_index, fixed[source], fixed[destination]])
+        for edge_index, destination in cross_edges:
+            total += float(inter[edge_index, :, fixed[destination]].min())
+        return total
 
-def _chain_dp_run(
-    intra: np.ndarray,
-    inter: np.ndarray,
-    start: int,
-    parents: np.ndarray,
-    frontiers: np.ndarray,
-    *,
-    backend: str,
-    memoize: bool = True,
-) -> tuple[np.ndarray, int]:
-    """Fill ``parents`` / ``frontiers`` for layers ``[start, L)``.
-
-    The single chain-DP driver behind :meth:`CostTable.dp_partition` and
-    :class:`WarmStartDP`: advances the recurrence with the selected
-    backend and, when ``memoize`` is on and the chain's transitions repeat
-    (transformer blocks), replays converged period blocks by translation
-    (:func:`_try_periodic_jump`) instead of stepping them.  Returns the
-    final frontier and the number of layers filled by jumps; every filled
-    row is bit-exact with cold stepping.
-    """
-    num_layers = intra.shape[0]
-    advance = _chain_advancer(backend)
-    if not memoize or num_layers - start < _MEMOIZE_MIN_LAYERS:
-        advance(intra, inter, parents, frontiers, start, num_layers)
-        return frontiers[num_layers - 1], 0
-    detected = _detect_periodic_region(intra, inter)
-    if detected is None:
-        advance(intra, inter, parents, frontiers, start, num_layers)
-        return frontiers[num_layers - 1], 0
-    period, first_transition, stop_transition = detected
-    # Transition ``j`` feeds layer ``j + 1``: the periodic layers are
-    # ``[first_transition + 1, stop_transition + 1)``.
-    region_first = first_transition + 1
-    region_stop = stop_transition + 1
-    anchor = max(start, region_first, 1)
-    blocks_behind = -(-(anchor - region_first) // period)  # ceil division
-    cursor = region_first + blocks_behind * period  # first block boundary >= anchor
-    last_boundary = region_first + ((region_stop - region_first) // period) * period
-    if cursor + 2 * period > last_boundary:
-        advance(intra, inter, parents, frontiers, start, num_layers)
-        return frontiers[num_layers - 1], 0
-    advance(intra, inter, parents, frontiers, start, cursor)
-    stepped_blocks = 0
-    jumped_layers = 0
-    while cursor + period <= last_boundary:
-        advance(intra, inter, parents, frontiers, cursor, cursor + period)
-        stepped_blocks += 1
-        cursor += period
-        remaining = (last_boundary - cursor) // period
-        if stepped_blocks >= 2 and remaining >= 1:
-            if _try_periodic_jump(
-                intra, inter, parents, frontiers, cursor, period, remaining
-            ):
-                jumped_layers = remaining * period
-                cursor += jumped_layers
-                break
-    advance(intra, inter, parents, frontiers, cursor, num_layers)
-    return frontiers[num_layers - 1], jumped_layers
-
-
-def _warn_bits_shim(old: str, new: str) -> None:
-    """Deprecation warning shared by the historical K=2 bit-encoding shims.
-
-    ``stacklevel=3`` points the warning at the shim's *caller* (helper →
-    shim → caller), matching the ``stacklevel=2`` a direct ``warnings.warn``
-    inside the shim would use.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} (bit-exact for the default "
-        "dp/mp space)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+    return free_digits, chunk_span, bound
 
 
 def _sequential_row_sum(per_layer: np.ndarray) -> np.ndarray:
@@ -704,65 +589,44 @@ class CostTable:
         return self.strategies.num_assignments(self.num_layers)
 
     # ------------------------------------------------------------------
-    # Algorithm 1 as a K-way array DP over the table.
+    # Algorithm 1 as a K-way array DP over the table's cut segments.
     # ------------------------------------------------------------------
 
     def dp_partition(self, *, memoize: bool = True) -> PartitionResult:
         """Optimal per-layer assignment over the table (Algorithm 1, generalized).
 
-        For a chain this is exactly the recurrence of
-        :meth:`~repro.core.partitioner.TwoWayPartitioner.partition_tensors_reference`
-        -- same additions in the same order, ties preferring the lowest
-        strategy code (dp first) -- so the returned optimum is bit-exact
-        with the object-based oracle, byte-identical to the historical
-        array DP.  The chain recurrence runs on the table's
-        :attr:`backend` and, with ``memoize`` on (the default), replays
-        converged repeated-block transitions by translation instead of
-        stepping them (:func:`_chain_dp_run`) -- both bit-exact with the
-        cold NumPy loop, which ``memoize=False`` forces for oracle runs.
-        For a DAG the table runs the same dynamic program over the model's
-        *cut vertices* (layers no edge jumps across), scoring each branch
-        interior by batched enumeration (:meth:`_dp_partition_dag`); the
-        optimum value equals the brute-force minimum of
-        :meth:`score_codes` over the full space, float for float.
-        ``memoize`` applies there too: repeated cut segments (residual
-        transformer blocks, ``gpt_r``) are replayed by translation under
-        the same exactness certificate as the chain jump.  The per-layer
-        breakdown of the winner is materialized lazily.
+        One dynamic program serves chains and DAGs.  It runs over the
+        table's *cut vertices* (layers no edge jumps across; on a chain,
+        every layer) and keeps ``com[c]`` -- the minimal accumulated cost
+        of the prefix through the current cut vertex under code ``c`` --
+        advancing one cut segment at a time (:meth:`_run_dp`).  Only the
+        segment step differs by kind:
+
+        * on a chain, runs of segments go through the layer recurrence of
+          :meth:`~repro.core.partitioner.TwoWayPartitioner.partition_tensors_reference`
+          on the table's :attr:`backend` -- same additions in the same
+          order, ``(com + inter) + intra``, ties preferring the lowest
+          strategy code (dp first) -- so the optimum is bit-exact with the
+          object-based oracle;
+        * on a DAG, each segment enumerates all ``K**(I + 2)`` code
+          patterns of its ``I`` interior layers plus both endpoints in
+          batched operations (:meth:`_advance_dag_block`), with the
+          ``com + (intra + sum(inter))`` association of
+          :meth:`score_codes`.  IEEE addition is monotone, so the per-state
+          minima compose exactly and the optimum equals the brute-force
+          minimum of :meth:`score_codes`, float for float; ties resolve to
+          the lowest pattern digits (dp-first per layer).
+
+        With ``memoize`` on (the default), repeated cut segments --
+        transformer blocks on ``gpt_s``/``bert_s`` chains, residual blocks
+        on ``gpt_r`` DAGs -- are replayed by translation once the program
+        provably reaches its steady state (:meth:`_try_periodic_jump`),
+        byte-identical to cold stepping; ``memoize=False`` forces the cold
+        step for oracle runs.  The per-layer breakdown of the winner is
+        materialized lazily.
         """
-        if not self.is_chain:
-            return self._dp_partition_dag(memoize=memoize)
-        num_layers = self.num_layers
-        parents = np.empty((num_layers - 1, self.num_strategies), dtype=np.int8)
-        frontiers = np.empty((num_layers, self.num_strategies), dtype=np.float64)
-        frontiers[0] = self.intra[0]  # layer 0 pays only its intra term
-        com, _ = _chain_dp_run(
-            self.intra,
-            self.inter,
-            1,
-            parents,
-            frontiers,
-            backend=kernels.resolve_backend(self.backend),
-            memoize=memoize,
-        )
-
-        last = int(np.argmin(com))  # tie -> lowest code, the reference rule
-        total = float(com[last])
-        # Backtrack over plain Python lists: scalar ndarray indexing costs
-        # ~4x more per step, and at transformer depth the backtrack would
-        # otherwise dominate the memoized solve.  The codes are exact
-        # integers either way.
-        parent_rows = parents.tolist()
-        codes_per_layer = [0] * num_layers
-        code = codes_per_layer[-1] = last
-        for layer in range(num_layers - 2, -1, -1):
-            code = codes_per_layer[layer] = parent_rows[layer][code]
-
-        members = self.strategies.members
-        assignment = LayerAssignment(
-            tuple(members[code] for code in codes_per_layer)
-        )
-        return self.lazy_result(assignment, total)
+        frontiers, argmins = self._dp_state()
+        return self._solve(frontiers, argmins, 0, memoize=memoize)[0]
 
     def cut_vertices(self) -> list[int]:
         """Layers no edge jumps across (every source-to-sink path visits them).
@@ -770,7 +634,7 @@ class CostTable:
         A layer ``v`` is a cut vertex when no edge ``(a, b)`` satisfies
         ``a < v < b``.  The first and last layers always qualify; on a
         chain every layer does.  Consecutive cut vertices delimit the
-        *branch interiors* the DAG dynamic program enumerates.
+        *cut segments* the dynamic program advances over.
         """
         interior = [False] * self.num_layers
         for source, destination in self.edges:
@@ -778,97 +642,153 @@ class CostTable:
                 interior[vertex] = True
         return [vertex for vertex in range(self.num_layers) if not interior[vertex]]
 
-    def _dp_partition_dag(self, *, memoize: bool = True) -> PartitionResult:
-        """Cut-vertex dynamic program with batched branch-interior enumeration.
+    @functools.cached_property
+    def _cuts(self) -> Sequence[int]:
+        """:meth:`cut_vertices`, as a ``range`` on chains."""
+        if self.is_chain:
+            return range(self.num_layers)
+        return tuple(self.cut_vertices())
 
-        The layer order is a topological linearization, so between two
-        consecutive cut vertices ``u < v`` every edge stays inside the
-        block ``[u, v]``.  The program keeps ``com[c]`` -- the minimal
-        accumulated cost of the prefix through the current cut vertex
-        under code ``c``, built with the exact left-to-right per-layer
-        association of :meth:`score_codes` -- and advances one block at a
-        time (:meth:`_advance_dag_block`) by enumerating all
-        ``K**(I + 2)`` code patterns of the block (``I`` interior layers
-        plus both endpoints) in batched,
-        :data:`DEFAULT_CHUNK_SIZE`-chunked operations (peak memory stays
-        a few MB regardless of the block size).  IEEE addition is
-        monotone, so the per-state minima compose exactly and the final
-        optimum equals the brute-force minimum of :meth:`score_codes`,
-        float for float; ties resolve to the lowest pattern digits
-        (dp-first per layer).
+    def _dp_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(frontiers, argmins)`` arrays of the dynamic program.
 
-        With ``memoize`` on, repeated cut segments -- the residual
-        transformer stacks of ``gpt_r``, where every block's costs and
-        local edge shape recur with a small period -- are detected up
-        front (:meth:`_detect_periodic_blocks`) and, once the block map
-        provably reaches its steady state (uniform ``com`` growth per
-        period, identical block argmins, and the dyadic exactness
-        certificate of :func:`_exactness_shift`), the remaining periods
-        are replayed by translation instead of enumeration: ``com``
-        advances by ``count * step`` and the stepped period's argmin
-        arrays are reused verbatim.  This is the cut-vertex analogue of
-        the chain-DP jump in :func:`_chain_dp_run`, byte-identical to
-        cold stepping for the same reasons; ``memoize=False`` forces the
-        full enumeration for oracle runs.
+        ``frontiers[v]`` is ``com`` at cut vertex ``v`` (row 0, layer 0's
+        intra term, is filled in); ``argmins[s]`` maps segment ``s``'s
+        closing code to its winning low digits -- on a chain the parent
+        code (``int8``, the compiled kernel's dtype), on a DAG the pattern
+        of the entering cut vertex and the interior layers.
         """
-        num_strategies = self.num_strategies
-        cuts = self.cut_vertices()
-        blocks = list(zip(cuts, cuts[1:]))
-        com = self.intra[0].copy()  # layer 0 has no incoming edges
-        block_plans: list[tuple[int, int, int, np.ndarray]] = []
-        detected = None
-        if memoize and len(blocks) >= _MEMOIZE_MIN_BLOCKS:
-            detected = self._detect_periodic_blocks(blocks)
-        # com entering block ``b`` (filled as stepping reaches ``b``);
-        # the jump certificate compares boundaries one period apart.
-        boundary_coms: list[np.ndarray | None] = [None] * (len(blocks) + 1)
-        index = 0
-        while index < len(blocks):
-            boundary_coms[index] = com
-            if detected is not None:
-                period, first, stop = detected
-                aligned = index >= first + 2 * period and (index - first) % period == 0
-                remaining = (stop - index) // period if aligned else 0
-                if remaining >= 1:
-                    jumped_com = self._try_periodic_block_jump(
-                        blocks,
-                        block_plans,
-                        boundary_coms,
-                        index,
-                        period,
-                        remaining,
-                    )
-                    if jumped_com is not None:
-                        com = jumped_com
-                        index += remaining * period
-                        # One region per table; later blocks step normally.
-                        detected = None
-                        continue
-            block_start, block_end = blocks[index]
-            best, best_rest = self._advance_dag_block(com, block_start, block_end)
-            com = best
-            block_plans.append(
-                (block_start, block_end, block_end - block_start - 1, best_rest)
-            )
-            index += 1
+        cuts = self._cuts
+        frontiers = np.empty((len(cuts), self.num_strategies), dtype=np.float64)
+        frontiers[0] = self.intra[0]  # layer 0 pays only its intra term
+        argmins = np.empty(
+            (len(cuts) - 1, self.num_strategies),
+            dtype=np.int8 if self.is_chain else np.int64,
+        )
+        return frontiers, argmins
 
-        last = int(np.argmin(com))  # tie -> lowest code
+    def _solve(
+        self, frontiers: np.ndarray, argmins: np.ndarray, start: int, *, memoize: bool
+    ) -> tuple[PartitionResult, int]:
+        """Run the program from segment ``start`` and backtrack the optimum.
+
+        ``frontiers[: start + 1]`` and ``argmins[:start]`` must hold a
+        valid prefix (:class:`WarmStartDP` replays a cached one).  Returns
+        the result and the number of layers filled by jumps.
+        """
+        jumped_segments, jumped_layers = self._run_dp(
+            frontiers, argmins, start, memoize=memoize
+        )
+        if jumped_segments and not self.is_chain:
+            DAG_JUMP_STATS["jumps"] += 1
+            DAG_JUMP_STATS["jumped_blocks"] += jumped_segments
+            DAG_JUMP_STATS["jumped_layers"] += jumped_layers
+
+        com = frontiers[-1]
+        last = int(np.argmin(com))  # tie -> lowest code, the reference rule
         total = float(com[last])
-        codes_per_layer = np.zeros(self.num_layers, dtype=np.int64)
-        codes_per_layer[cuts[-1]] = last
-        for block_start, block_end, interior_count, argmin_rest in reversed(block_plans):
-            rest = int(argmin_rest[codes_per_layer[block_end]])
-            codes_per_layer[block_start] = rest % num_strategies
-            rest //= num_strategies
-            for offset in range(interior_count):
-                codes_per_layer[block_start + 1 + offset] = rest % num_strategies
-                rest //= num_strategies
+        # Backtrack over plain Python lists: scalar ndarray indexing costs
+        # ~4x more per step, and at transformer depth the backtrack would
+        # otherwise dominate the memoized solve.  Each segment's argmin
+        # packs the codes of its entering cut vertex and interior layers
+        # as base-K digits, lowest layer first.
+        cuts = self._cuts
+        base = self.num_strategies
+        argmin_rows = argmins.tolist()
+        codes = [0] * self.num_layers
+        stop = cuts[-1]
+        codes[stop] = last
+        for segment in range(len(cuts) - 2, -1, -1):
+            first = cuts[segment]
+            rest = argmin_rows[segment][codes[stop]]
+            if stop - first == 1:
+                codes[first] = rest  # a one-layer segment's rest is one code
+            else:
+                for layer in range(first, stop):
+                    rest, codes[layer] = divmod(rest, base)
+            stop = first
 
         members = self.strategies.members
-        assignment = LayerAssignment(
-            tuple(members[int(code)] for code in codes_per_layer)
-        )
-        return self.lazy_result(assignment, total)
+        assignment = LayerAssignment(tuple(members[code] for code in codes))
+        return self.lazy_result(assignment, total), jumped_layers
+
+    def _run_dp(
+        self, frontiers: np.ndarray, argmins: np.ndarray, start: int, *, memoize: bool
+    ) -> tuple[int, int]:
+        """Fill ``frontiers[start + 1:]`` and ``argmins[start:]``.
+
+        The single driver behind :meth:`dp_partition` and
+        :class:`WarmStartDP`.  With ``memoize`` on and a periodic segment
+        region ahead (:meth:`_detect_periodic_segments`), it steps whole
+        periods from the first period boundary at or after ``start`` and,
+        once two have been stepped, tries to replay the rest of the region
+        by translation (:meth:`_try_periodic_jump`); one region per solve.
+        Returns ``(jumped segments, jumped layers)``; every filled row is
+        bit-exact with cold stepping.
+        """
+        cuts = self._cuts
+        num_segments = len(cuts) - 1
+        step = self._segment_step(frontiers, argmins)
+        min_segments = _MEMOIZE_MIN_LAYERS if self.is_chain else _MEMOIZE_MIN_BLOCKS
+        detected = None
+        if memoize and num_segments - start >= min_segments:
+            detected = self._detect_periodic_segments()
+        if detected is None:
+            step(start, num_segments)
+            return 0, 0
+        period, first, stop = detected
+        last_boundary = first + ((stop - first) // period) * period
+        blocks_behind = -(-(max(start, first) - first) // period)  # ceil division
+        cursor = first + blocks_behind * period
+        if cursor + 2 * period > last_boundary:
+            step(start, num_segments)
+            return 0, 0
+        step(start, cursor)
+        stepped_periods = 0
+        jumped = 0
+        while cursor + period <= last_boundary:
+            step(cursor, cursor + period)
+            stepped_periods += 1
+            cursor += period
+            remaining = (last_boundary - cursor) // period
+            if (
+                stepped_periods >= 2
+                and remaining >= 1
+                and self._try_periodic_jump(frontiers, argmins, cursor, period, remaining)
+            ):
+                jumped = remaining * period
+                cursor += jumped
+                break
+        step(cursor, num_segments)
+        return jumped, cuts[cursor] - cuts[cursor - jumped]
+
+    def _segment_step(self, frontiers: np.ndarray, argmins: np.ndarray):
+        """``step(first, stop)``: advance segments ``[first, stop)`` in place.
+
+        Chains step whole runs through the layer recurrence
+        (:func:`_chain_advancer`: the NumPy loop or the compiled kernel);
+        DAGs enumerate one segment at a time (:meth:`_advance_dag_block`).
+        The two associate their adds differently, so a chain never goes
+        through the (far costlier) segment enumeration.
+        """
+        if self.is_chain:
+            advance = _chain_advancer(kernels.resolve_backend(self.backend))
+            intra, inter = self.intra, self.inter
+
+            def step(first: int, stop: int) -> None:
+                # Segment ``s`` is the transition into layer ``s + 1``.
+                advance(intra, inter, argmins, frontiers, first + 1, stop + 1)
+
+            return step
+        cuts = self._cuts
+
+        def step(first: int, stop: int) -> None:
+            for segment in range(first, stop):
+                frontiers[segment + 1], argmins[segment] = self._advance_dag_block(
+                    frontiers[segment], cuts[segment], cuts[segment + 1]
+                )
+
+        return step
 
     def _block_local_edges(
         self, block_start: int, block_end: int
@@ -903,138 +823,139 @@ class CostTable:
             for edge_index in buckets.get(destination, ())
         )
 
-    def _detect_periodic_blocks(
-        self, blocks: list[tuple[int, int]]
-    ) -> tuple[int, int, int] | None:
-        """Smallest ``(period, first, stop)`` with blocks ``first:stop`` periodic.
+    def _detect_periodic_segments(self) -> tuple[int, int, int] | None:
+        """Smallest ``(period, first, stop)`` with segments ``first:stop`` periodic.
 
-        Block ``b`` matches block ``b + period`` when the two cut
-        segments have the same local shape (layer span and local edge
-        endpoints) and numerically equal cost entries: the intra rows
-        past the entering cut vertex and, pairing the blocks' local edge
-        lists positionally, each edge's inter table.  Equal costs make
-        the block maps identical functions of ``com``, the precondition
-        for the steady-state jump.  As in :func:`_detect_periodic_region`
-        the longest run wins and at least four full periods are required;
-        returns ``None`` otherwise.
+        Segment ``s`` matches segment ``s + period`` when their signatures
+        are equal: the same local shape (layer span and local edge
+        endpoints) and numerically equal cost entries -- the intra rows
+        past the entering cut vertex and, pairing the local edge lists
+        positionally, each edge's inter table.  Equal signatures make the
+        segment maps identical functions of ``com``, the precondition for
+        the steady-state jump.  On a chain every segment has the same
+        shape, so the signature of transition ``j`` is the row
+        ``(inter[j], intra[j + 1])`` and the whole comparison stays
+        vectorized; on a DAG each segment's signature is interned to an
+        integer id.  Periods are probed in ascending order with one
+        shifted comparison each, and the longest run of shift-equal
+        segments wins (a stem before and a head after the repeated blocks
+        are the norm, so the region rarely reaches either end).  At least
+        four full periods are required so the stabilization check (step
+        two periods, jump the rest) has room to pay off.  Returns ``None``
+        when no periodic region exists.
         """
-        num_blocks = len(blocks)
-        shapes: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        edge_lists: list[list[int]] = []
-        for block_start, block_end in blocks:
-            local_edges = self._block_local_edges(block_start, block_end)
-            shapes.append(
-                (
+        cuts = self._cuts
+        num_segments = len(cuts) - 1
+        if self.is_chain:
+            signatures = np.concatenate(
+                (self.inter.reshape(num_segments, -1), self.intra[1:]), axis=1
+            )
+            max_period = _MAX_MEMO_PERIOD
+        else:
+            interned: dict[tuple, int] = {}
+            ids = []
+            for segment in range(num_segments):
+                block_start, block_end = cuts[segment], cuts[segment + 1]
+                local_edges = self._block_local_edges(block_start, block_end)
+                # ``+ 0.0`` folds -0.0 into 0.0, so byte equality is ``==``.
+                key = (
                     block_end - block_start,
                     tuple((source, destination) for _, source, destination in local_edges),
+                    (self.intra[block_start + 1 : block_end + 1] + 0.0).tobytes(),
+                    (self.inter[[edge for edge, _, _ in local_edges]] + 0.0).tobytes(),
                 )
-            )
-            edge_lists.append([edge_index for edge_index, _, _ in local_edges])
-
-        def matches(left: int, right: int) -> bool:
-            if shapes[left] != shapes[right]:
-                return False
-            left_start, left_end = blocks[left]
-            right_start, right_end = blocks[right]
-            if not np.array_equal(
-                self.intra[left_start + 1 : left_end + 1],
-                self.intra[right_start + 1 : right_end + 1],
-            ):
-                return False
-            for left_edge, right_edge in zip(edge_lists[left], edge_lists[right]):
-                if not np.array_equal(self.inter[left_edge], self.inter[right_edge]):
-                    return False
-            return True
-
-        for period in range(1, min(_MAX_BLOCK_PERIOD, num_blocks // 4) + 1):
-            best_first = best_length = 0
-            run_start = run_length = 0
-            for position in range(num_blocks - period):
-                if matches(position, position + period):
-                    if run_length == 0:
-                        run_start = position
-                    run_length += 1
-                    if run_length > best_length:
-                        best_first, best_length = run_start, run_length
-                else:
-                    run_length = 0
-            if best_length and (best_length + period) // period >= 4:
-                return period, best_first, best_first + best_length + period
+                ids.append(interned.setdefault(key, len(interned)))
+            signatures = np.array(ids, dtype=np.int64)[:, None]
+            max_period = _MAX_BLOCK_PERIOD
+        for period in range(1, min(max_period, num_segments // 4) + 1):
+            # equal[s]: segment s matches segment s + period.
+            equal = np.all(signatures[period:] == signatures[:-period], axis=1)
+            # Longest run of consecutive shift-equal segments.
+            padded = np.concatenate(([False], equal, [False]))
+            changes = np.flatnonzero(padded[1:] != padded[:-1])
+            if changes.size == 0:
+                continue
+            run_starts = changes[::2]
+            run_lengths = changes[1::2] - run_starts
+            longest = int(np.argmax(run_lengths))
+            first = int(run_starts[longest])
+            length = int(run_lengths[longest])
+            # ``equal[s]`` ties segment ``s`` to ``s + period``, so the
+            # periodic region covers ``length + period`` segments.
+            if (length + period) // period >= 4:
+                return period, first, first + length + period
         return None
 
-    def _try_periodic_block_jump(
+    def _try_periodic_jump(
         self,
-        blocks: list[tuple[int, int]],
-        block_plans: list[tuple[int, int, int, np.ndarray]],
-        boundary_coms: list[np.ndarray | None],
-        index: int,
+        frontiers: np.ndarray,
+        argmins: np.ndarray,
+        cursor: int,
         period: int,
         count: int,
-    ) -> np.ndarray | None:
-        """Replay ``count`` converged periods of cut segments by translation.
+    ) -> bool:
+        """Replay ``count`` converged periods from segment ``cursor`` on.
 
-        ``index`` is the next block to process, with at least two full
-        periods stepped immediately before it.  Mirrors
-        :func:`_try_periodic_jump` at block granularity:
+        ``cursor`` is the next segment to advance, with at least two full
+        periods stepped immediately before it.  The jump fires only when
+        the program has provably entered its steady state:
 
-        * the entering ``com`` advanced by a *uniform* increment ``step``
-          over the last period, and the last two periods produced
-          identical per-block argmin (``best_rest``) arrays -- the block
-          map has reached its max-plus steady state;
-        * the exactness certificate of :func:`_exactness_shift` holds for
-          every participating value (boundary ``com``, ``step``, and one
-          period's intra rows and inter tables), so the float adds the
-          skipped enumeration *would* perform are exact and equal
-          ``previous period + step`` bit for bit, including every
-          strict-``<`` tie.
+        * ``com`` advanced by a *uniform* increment ``step`` over the last
+          period, and the last two periods produced identical argmin rows
+          (max-plus theory: the power iteration of a periodic transition
+          map converges to uniform growth);
+        * an exactness certificate holds (:func:`_exactness_shift`) for
+          every participating value -- the boundary ``com``, ``step``, and
+          one period's intra rows and inter tables -- so the float adds the
+          skipped stepping *would* perform are exact and equal
+          ``previous period + step`` bit for bit, including every argmin
+          tie, which is decided by exact comparisons of translated values.
 
-        On success appends the replayed block plans (reusing the stepped
-        period's ``best_rest`` arrays) and returns the translated ``com``;
-        returns ``None`` (caller keeps stepping) when any check fails.
+        On success the jumped frontier rows are broadcast translations of
+        the last stepped period and the argmin rows are tiled copies; the
+        result is byte-identical to cold stepping.  Returns ``False``
+        (the caller keeps stepping) when any check fails.
         """
-        com = boundary_coms[index]
-        previous = boundary_coms[index - period]
-        delta = com - previous
+        boundary = frontiers[cursor]
+        delta = boundary - frontiers[cursor - period]
         if not np.all(delta == delta[0]):
-            return None
-        for offset in range(period):
-            if not np.array_equal(
-                block_plans[index - period + offset][3],
-                block_plans[index - 2 * period + offset][3],
-            ):
-                return None
+            return False
+        if not np.array_equal(
+            argmins[cursor - period : cursor],
+            argmins[cursor - 2 * period : cursor - period],
+        ):
+            return False
         step = float(delta[0])
-        period_start = blocks[index - period][0]
-        period_end = blocks[index - 1][1]
+        cuts = self._cuts
+        period_start, period_end = cuts[cursor - period], cuts[cursor]
         intra_period = self.intra[period_start + 1 : period_end + 1]
-        edge_indices = self._edges_into(period_start, period_end)
-        inter_period = self.inter[edge_indices]
+        if self.is_chain:
+            inter_period = self.inter[period_start:period_end]
+        else:
+            inter_period = self.inter[self._edges_into(period_start, period_end)]
         block_max = max(
             float(np.abs(intra_period).max()),
-            float(np.abs(inter_period).max()) if edge_indices else 0.0,
+            float(np.abs(inter_period).max()) if inter_period.size else 0.0,
             1.0,
         )
-        period_terms = (period_end - period_start) + len(edge_indices)
-        magnitude = float(np.abs(com).max()) + (count + 2) * (
+        period_terms = (period_end - period_start) + inter_period.shape[0]
+        magnitude = float(np.abs(boundary).max()) + (count + 2) * (
             abs(step) + block_max * (period_terms + 2)
         )
         shift = _exactness_shift(
-            [com, np.array([step]), intra_period, inter_period], magnitude
+            [boundary, np.array([step]), intra_period, inter_period], magnitude
         )
         if shift is None:
-            return None
-        for jumped in range(count * period):
-            source_plan = block_plans[index - period + (jumped % period)]
-            block_start, block_end = blocks[index + jumped]
-            block_plans.append(
-                (block_start, block_end, block_end - block_start - 1, source_plan[3])
-            )
-        DAG_JUMP_STATS["jumps"] += 1
-        DAG_JUMP_STATS["jumped_blocks"] += count * period
-        DAG_JUMP_STATS["jumped_layers"] += (
-            blocks[index + count * period - 1][1] - blocks[index][0]
+            return False
+        base_frontiers = frontiers[cursor - period + 1 : cursor + 1]
+        offsets = np.arange(1, count + 1, dtype=np.float64) * step
+        frontiers[cursor + 1 : cursor + 1 + count * period] = (
+            base_frontiers[None, :, :] + offsets[:, None, None]
+        ).reshape(count * period, frontiers.shape[1])
+        argmins[cursor : cursor + count * period] = np.tile(
+            argmins[cursor - period : cursor], (count, 1)
         )
-        return com + float(count) * step
+        return True
 
     def _advance_dag_block(
         self, com: np.ndarray, block_start: int, block_end: int
@@ -1087,79 +1008,28 @@ class CostTable:
         group_size = num_patterns // num_strategies
         best = np.full(num_strategies, np.inf)
         best_rest = np.zeros(num_strategies, dtype=np.int64)
-        # Digit-aligned chunking (largest K**free <= DEFAULT_CHUNK_SIZE)
-        # keeps every chunk's high digits constant, enabling dominance
-        # pruning.  Chunk boundaries never affect the result: the
-        # strict-< running minima scan codes in ascending order, so
-        # any partition of that order yields the identical winner.
-        free_digits = 0
-        chunk_span = 1
-        while (
-            free_digits < block_layers
-            and chunk_span * num_strategies <= DEFAULT_CHUNK_SIZE
-        ):
-            chunk_span *= num_strategies
-            free_digits += 1
-        # Lower-bound scaffolding over the free (low) digits: the
-        # cheapest prefix state, each free layer's cheapest intra
-        # entry, each free-internal edge's cheapest inter entry
-        # (costs are nonnegative byte counts, so per-term minima
-        # bound any completion from below).
-        free_floor = float(com.min())
-        for local in range(1, free_digits):
-            free_floor += float(self.intra[block_start + local].min())
-        fixed_edges = []
-        cross_into_fixed = []
-        cross_into_free = []
-        for edge_index, local_source, local_destination in block_edges:
-            if local_source < free_digits and local_destination < free_digits:
-                free_floor += float(self.inter[edge_index].min())
-            elif local_source >= free_digits:
-                fixed_edges.append((edge_index, local_source, local_destination))
-            elif local_destination >= free_digits:
-                cross_into_fixed.append((edge_index, local_destination))
-            else:  # pragma: no cover - edges run forward (source < dest)
-                cross_into_free.append((edge_index, local_source))
+        # Digit-aligned chunking keeps every chunk's high digits constant,
+        # enabling dominance pruning.  Chunk boundaries never affect the
+        # result: the strict-< running minima scan codes in ascending
+        # order, so any partition of that order yields the identical
+        # winner.
+        _, chunk_span, bound = _chunk_lower_bound(
+            com,
+            self.intra[block_start : block_end + 1],
+            self.inter,
+            block_edges,
+            num_strategies,
+            DEFAULT_CHUNK_SIZE,
+        )
         for start in range(0, num_patterns, chunk_span):
-            if free_digits < block_layers:
-                fixed = _decode_digits(
-                    np.array([start // chunk_span], dtype=np.int64),
-                    block_layers - free_digits,
-                    num_strategies,
-                )[0]
-                bound = free_floor
-                for local in range(free_digits, block_layers):
-                    bound += float(
-                        self.intra[block_start + local, fixed[local - free_digits]]
-                    )
-                for edge_index, local_source, local_destination in fixed_edges:
-                    bound += float(
-                        self.inter[
-                            edge_index,
-                            fixed[local_source - free_digits],
-                            fixed[local_destination - free_digits],
-                        ]
-                    )
-                for edge_index, local_destination in cross_into_fixed:
-                    bound += float(
-                        self.inter[
-                            edge_index, :, fixed[local_destination - free_digits]
-                        ].min()
-                    )
-                for edge_index, local_source in cross_into_free:  # pragma: no cover
-                    bound += float(
-                        self.inter[
-                            edge_index, fixed[local_source - free_digits], :
-                        ].min()
-                    )
-                incumbent = float(best.max())
-                # Strictly-worse chunks cannot improve (or first-tie)
-                # any end code's running minimum; the margin absorbs
-                # the bound's different float association, keeping
-                # the scan's output byte-identical to the unpruned
-                # enumeration.
-                if bound * (1.0 - _PRUNE_MARGIN) > incumbent:
-                    continue
+            # Strictly-worse chunks cannot improve (or first-tie) any end
+            # code's running minimum; the margin absorbs the bound's
+            # different float association, keeping the scan's output
+            # byte-identical to the unpruned enumeration.
+            if bound is not None and bound(start // chunk_span) * (
+                1.0 - _PRUNE_MARGIN
+            ) > float(best.max()):
+                continue
             codes = np.arange(
                 start, min(start + chunk_span, num_patterns), dtype=np.int64
             )
@@ -1252,15 +1122,6 @@ class CostTable:
             totals[start : start + chunk.shape[0]] = self._score_chunk(chunk)
         return totals
 
-    def score_bits(self, bits: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_codes`.
-
-        For the default dp/mp space the base-2 digit encoding is the bit
-        encoding, so the two are interchangeable (and bit-exact).
-        """
-        _warn_bits_shim("CostTable.score_bits", "CostTable.score_codes")
-        return self.score_codes(bits)
-
     def _score_chunk(self, codes: np.ndarray) -> np.ndarray:
         return self._score_decoded(
             _decode_digits(codes, self.num_layers, self.num_strategies)
@@ -1333,11 +1194,6 @@ class CostTable:
             stop = min(start + chunk_size, self.num_assignments)
             yield np.arange(start, stop, dtype=np.int64)
 
-    def iter_all_bits(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[np.ndarray]:
-        """Deprecated shim: the historical name of :meth:`iter_all_codes`."""
-        _warn_bits_shim("CostTable.iter_all_bits", "CostTable.iter_all_codes")
-        return self.iter_all_codes(chunk_size)
-
     def argmin_assignment(
         self,
         *,
@@ -1385,60 +1241,27 @@ class CostTable:
                 f"cannot enumerate a {self.num_strategies}**{self.num_layers} "
                 "space with 64-bit packed encodings"
             )
-        num_layers = self.num_layers
-        base = self.num_strategies
-        # Digit-aligned chunks: the largest base**free <= chunk_size low
-        # digits enumerate inside a chunk, the remaining high digits are
-        # fixed per chunk and priced exactly in the bound.
-        free_digits = 0
-        span = 1
-        while free_digits < num_layers and span * base <= chunk_size:
-            span *= base
-            free_digits += 1
+        # Digit-aligned chunks: the low digits enumerate inside a chunk,
+        # the high digits are fixed per chunk and priced exactly in the
+        # bound.
+        edges = [
+            (edge_index, source, destination)
+            for edge_index, (source, destination) in enumerate(self.edges)
+        ]
+        _, span, bound = _chunk_lower_bound(
+            self.intra[0], self.intra, self.inter, edges, self.num_strategies, chunk_size
+        )
+        if bound is None:
+            # One chunk covers the space; nothing to prune against.
+            return self.argmin_assignment(chunk_size=chunk_size)
         incumbent = np.inf if upper_bound is None else float(upper_bound)
         best_codes = -1
         best_total = np.inf
-        if free_digits == num_layers:
-            # One chunk covers the space; nothing to prune against.
-            return self.argmin_assignment(chunk_size=chunk_size)
-        free_floor = 0.0
-        for layer in range(free_digits):
-            free_floor += float(self.intra[layer].min())
-        fixed_edges = []
-        cross_edges = []
-        for edge_index, (source, destination) in enumerate(self.edges):
-            if destination < free_digits:
-                free_floor += float(self.inter[edge_index].min())
-            elif source >= free_digits:
-                fixed_edges.append((edge_index, source, destination))
-            else:
-                cross_edges.append((edge_index, destination))
-        fixed_layers = np.arange(free_digits, num_layers)
         for start in range(0, self.num_assignments, span):
-            fixed = _decode_digits(
-                np.array([start // span], dtype=np.int64),
-                num_layers - free_digits,
-                base,
-            )[0]
-            bound = free_floor + float(
-                self.intra[fixed_layers, fixed].sum()
-            )
-            for edge_index, source, destination in fixed_edges:
-                bound += float(
-                    self.inter[
-                        edge_index,
-                        fixed[source - free_digits],
-                        fixed[destination - free_digits],
-                    ]
-                )
-            for edge_index, destination in cross_edges:
-                bound += float(
-                    self.inter[edge_index, :, fixed[destination - free_digits]].min()
-                )
             # Strict, margined dominance: skipped chunks hold only totals
             # strictly above the incumbent, so neither the minimum value
             # nor the first-minimum tie winner can live there.
-            if bound * (1.0 - _PRUNE_MARGIN) > min(incumbent, best_total):
+            if bound(start // span) * (1.0 - _PRUNE_MARGIN) > min(incumbent, best_total):
                 continue
             chunk = np.arange(
                 start, min(start + span, self.num_assignments), dtype=np.int64
@@ -1488,11 +1311,6 @@ class CostTable:
         total = float(self.score_codes(np.array([codes], dtype=np.int64))[0])
         return self.lazy_result(assignment, total)
 
-    def result_for_bits(self, codes: int) -> PartitionResult:
-        """Deprecated shim: the historical name of :meth:`result_for_codes`."""
-        _warn_bits_shim("CostTable.result_for_bits", "CostTable.result_for_codes")
-        return self.result_for_codes(codes)
-
     def _check_assignment(self, assignment: LayerAssignment) -> None:
         if assignment.num_layers != self.num_layers:
             raise ValueError(
@@ -1510,18 +1328,19 @@ class WarmStartDP:
     with the previous solve.  This solver caches the chain DP's per-layer
     frontier -- the ``com`` vector after each layer -- together with the
     parent pointers and the previous table's cost columns.  A new table is
-    compared column by column against the cache and the recurrence resumes
+    compared column by column against the cache and the program resumes
     after the longest unchanged prefix instead of from layer 0.
 
-    Bit-exactness invariant: the resumed recurrence performs the *same
-    floating-point additions in the same order* with the same
-    lowest-code-wins ``argmin`` tie rule as the cold solve, so the result
-    is identical float for float (property-pinned over the whole model
-    zoo by ``tests/resilience/test_warmstart.py``).  Layer ``l``'s
-    frontier depends only on ``intra[0..l]`` and ``inter[0..l-1]``, which
-    is what makes prefix reuse sound.  Non-chain (DAG) tables take the
-    cold :meth:`CostTable._dp_partition_dag` path unchanged and leave the
-    cached chain state untouched.
+    Bit-exactness invariant: the resumed program is the one driver behind
+    :meth:`CostTable.dp_partition` and performs the *same floating-point
+    additions in the same order* with the same lowest-code-wins
+    ``argmin`` tie rule as the cold solve, so the result is identical
+    float for float (property-pinned over the whole model zoo by
+    ``tests/resilience/test_warmstart.py``).  Layer ``l``'s frontier
+    depends only on ``intra[0..l]`` and ``inter[0..l-1]``, which is what
+    makes prefix reuse sound.  Non-chain (DAG) tables take a cold
+    :meth:`CostTable.dp_partition` and leave the cached chain state
+    untouched.
     """
 
     def __init__(self) -> None:
@@ -1562,19 +1381,18 @@ class WarmStartDP:
         return prefix
 
     def solve(self, table: CostTable, *, memoize: bool = True) -> PartitionResult:
-        """The ``table.dp_partition()`` optimum, warm-started when possible.
+        """The ``table.dp_partition(memoize=memoize)`` optimum, warm-started
+        when possible.
 
-        The resumed recurrence runs through the shared
-        :func:`_chain_dp_run` driver, so it inherits the table's backend
-        and the block-repetition memoization (``memoize=False`` forces
-        cold stepping for oracle comparisons); both are bit-exact with the
-        historical layer loop.
+        The resumed program runs through the table's DP driver, so it
+        inherits the table's backend and the block-repetition memoization
+        (``memoize=False`` forces cold stepping for oracle comparisons);
+        both are bit-exact with the historical layer loop.
         """
         if not table.is_chain:
             self.cold_solves += 1
-            return table.dp_partition()
+            return table.dp_partition(memoize=memoize)
         num_layers = table.num_layers
-        num_strategies = table.num_strategies
         prefix = self._matching_prefix(table)
         if (
             prefix == num_layers
@@ -1587,38 +1405,15 @@ class WarmStartDP:
         self.reused_layers += prefix
         self.solved_layers += num_layers - prefix
 
-        parents = np.empty((num_layers - 1, num_strategies), dtype=np.int8)
-        frontiers = np.empty((num_layers, num_strategies), dtype=np.float64)
-        if prefix == 0:
-            frontiers[0] = table.intra[0]
-            start = 1
-        else:
+        frontiers, parents = table._dp_state()
+        if prefix > 0:
             frontiers[:prefix] = self._frontiers[:prefix]
             parents[: prefix - 1] = self._parents[: prefix - 1]
-            start = prefix
-        com, jumped = _chain_dp_run(
-            table.intra,
-            table.inter,
-            start,
-            parents,
-            frontiers,
-            backend=kernels.resolve_backend(table.backend),
-            memoize=memoize,
+        # Segment ``s`` of a chain advances into layer ``s + 1``.
+        result, jumped = table._solve(
+            frontiers, parents, max(prefix - 1, 0), memoize=memoize
         )
         self.memoized_layers += jumped
-
-        last = int(np.argmin(com))
-        total = float(com[last])
-        parent_rows = parents.tolist()
-        codes_per_layer = [0] * num_layers
-        code = codes_per_layer[-1] = last
-        for layer in range(num_layers - 2, -1, -1):
-            code = codes_per_layer[layer] = parent_rows[layer][code]
-        members = table.strategies.members
-        assignment = LayerAssignment(
-            tuple(members[code] for code in codes_per_layer)
-        )
-        result = table.lazy_result(assignment, total)
 
         self._intra = table.intra
         self._inter = table.inter
@@ -1998,11 +1793,6 @@ class HierarchicalCostTable:
         return self.num_levels * self.num_layers
 
     @property
-    def total_bits(self) -> int:
-        """Deprecated alias of :attr:`total_digits` (binary-space name)."""
-        return self.total_digits
-
-    @property
     def num_assignments(self) -> int:
         """Size of the full hierarchical space (``K**(H*L)``)."""
         return self.strategies.size ** self.total_digits
@@ -2042,13 +1832,6 @@ class HierarchicalCostTable:
             totals[start : start + chunk.shape[0]] = self._score_chunk(chunk)
         return totals
 
-    def score_bits(self, bits: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.score_bits", "HierarchicalCostTable.score_codes"
-        )
-        return self.score_codes(bits)
-
     def decode_level_codes(self, codes: np.ndarray) -> list[np.ndarray]:
         """Per-level strategy-code matrices ``(N, L)`` for a batch of candidates."""
         num_layers = self.num_layers
@@ -2068,14 +1851,6 @@ class HierarchicalCostTable:
             ) % level_space
             decoded.append(_decode_digits(level_codes, num_layers, base))
         return decoded
-
-    def decode_level_bits(self, codes: np.ndarray) -> list[np.ndarray]:
-        """Deprecated shim: the historical name of :meth:`decode_level_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.decode_level_bits",
-            "HierarchicalCostTable.decode_level_codes",
-        )
-        return self.decode_level_codes(codes)
 
     def _score_chunk(self, codes: np.ndarray) -> np.ndarray:
         return self.score_level_codes(self.decode_level_codes(codes))
@@ -2178,14 +1953,6 @@ class HierarchicalCostTable:
                     batch_counts = batch_counts + self._batch_effect[level_codes]
         return totals
 
-    def score_level_bits(self, decoded: Sequence[np.ndarray]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_level_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.score_level_bits",
-            "HierarchicalCostTable.score_level_codes",
-        )
-        return self.score_level_codes(decoded)
-
     def argmin_assignment(self, *, chunk_size: int | None = None) -> tuple[int, float]:
         """First minimum over the full ``K**(H*L)`` space, in product order."""
         space = self.num_assignments
@@ -2230,22 +1997,6 @@ class HierarchicalCostTable:
             )
         levels.reverse()
         return HierarchicalAssignment(tuple(levels))
-
-    def assignment_to_bits(self, assignment: HierarchicalAssignment) -> int:
-        """Deprecated shim: the historical name of :meth:`assignment_to_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.assignment_to_bits",
-            "HierarchicalCostTable.assignment_to_codes",
-        )
-        return self.assignment_to_codes(assignment)
-
-    def bits_to_assignment(self, codes: int) -> HierarchicalAssignment:
-        """Deprecated shim: the historical name of :meth:`codes_to_assignment`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.bits_to_assignment",
-            "HierarchicalCostTable.codes_to_assignment",
-        )
-        return self.codes_to_assignment(codes)
 
     def total_bytes(self, assignment: HierarchicalAssignment) -> float:
         """Total traffic of one hierarchical assignment (fast path)."""

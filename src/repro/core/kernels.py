@@ -6,8 +6,8 @@ their time in a handful of inner loops: the layer-wise recurrence of
 Algorithm 1 (:meth:`CostTable.dp_partition`), the batched candidate
 scorers (:meth:`CostTable._score_decoded`,
 :meth:`HierarchicalCostTable.score_level_codes`) and the branch-interior
-enumeration of the DAG cut-vertex program
-(:meth:`CostTable._dp_partition_dag`).  This module provides
+enumeration of a DAG's cut segments
+(:meth:`CostTable._advance_dag_block`).  This module provides
 ``@njit``-compiled versions of exactly those loops plus the tiny backend
 registry that selects between them.
 
@@ -318,7 +318,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only in the numba CI leg
         replaces the intra term), later digits are the interior layers and
         the closing cut vertex.  Decoding, gathering and the left-to-right
         accumulation replicate the NumPy chunk body of
-        ``CostTable._dp_partition_dag`` float for float; the edge arrays
+        ``CostTable._advance_dag_block`` float for float; the edge arrays
         carry *local* source/destination indices grouped by destination.
         """
         num_edges = edge_index.shape[0]

@@ -79,6 +79,15 @@ class TestCostTableScoring:
         assignment = LayerAssignment.from_codes(0b10110101, len(tensors))
         assert table.total_bytes(assignment) == comm.total_bytes(tensors, assignment)
 
+    def test_result_for_codes_materializes_one_pattern(self, lenet_model):
+        table = compile_cost_table(lenet_model, 64)
+        for codes in range(table.num_assignments):
+            result = table.result_for_codes(codes)
+            assignment = LayerAssignment.from_codes(codes, table.num_layers)
+            assert result.assignment == assignment
+            assert result.communication_bytes == table.score_codes([codes])[0]
+            assert result.communication_bytes == table.total_bytes(assignment)
+
     def test_rejects_mismatched_assignment(self, lenet_model):
         table = compile_cost_table(lenet_model, 256)
         with pytest.raises(ValueError):

@@ -193,9 +193,9 @@ class TestDagRepeatedBlockMemoization:
                     assert cost_table._edges_into(start, end) == [
                         edge_index for edge_index, _, _ in scan(cost_table, start, end)
                     ]
-        detected = cost_table._detect_periodic_blocks(blocks)
+        detected = cost_table._detect_periodic_segments()
         with mock.patch.object(CostTable, "_block_local_edges", scan):
-            assert cost_table._detect_periodic_blocks(blocks) == detected
+            assert cost_table._detect_periodic_segments() == detected
 
     def test_block_jump_fires_on_gpt_r_at_depth(self):
         """The DAG periodic-block jump actually engages on ``gpt_r``.

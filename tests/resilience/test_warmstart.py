@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.costs import CostTable, WarmStartDP
+from repro.core.costs import DAG_JUMP_STATS, CostTable, WarmStartDP
 from repro.core.hierarchical import HierarchicalPartitioner, HierarchicalWarmStart
-from repro.nn.model_zoo import all_model_builders
+from repro.nn.model_zoo import all_model_builders, gpt_r
 
 BATCH = 64
 
@@ -37,6 +37,21 @@ def test_warm_solve_matches_cold_solve(name):
     else:
         assert stats["cold_solves"] == 2
         assert stats["full_hits"] == 0
+
+
+def test_dag_solve_honours_memoize_false():
+    """A DAG table's cold solve passes ``memoize=False`` through: no jump.
+
+    ``gpt_r(64)`` is periodic enough for the segment jump, so dropping
+    the flag would show up as a jump in the process statistics.
+    """
+    table = CostTable.compile(gpt_r(64), 256)
+    before = dict(DAG_JUMP_STATS)
+    warm = WarmStartDP().solve(table, memoize=False)
+    assert DAG_JUMP_STATS == before
+    _assert_same_result(warm, table.dp_partition(memoize=False))
+    WarmStartDP().solve(table)
+    assert DAG_JUMP_STATS["jumps"] == before["jumps"] + 1
 
 
 def test_suffix_mutation_reuses_the_prefix(lenet_model):
