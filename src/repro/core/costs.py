@@ -243,7 +243,7 @@ def _chunk_lower_bound(
     ``chunk_span = base**free_digits <= chunk_limit`` patterns; the high
     digits are fixed per chunk.
 
-    Returns ``(free_digits, chunk_span, bound)``.  ``bound(chunk)`` prices
+    Returns ``(chunk_span, bound)``.  ``bound(chunk)`` prices
     chunk ``chunk``'s fixed digits exactly and every free term by its
     minimum (costs are nonnegative byte counts, so the sum bounds every
     pattern in the chunk from below); ``bound`` is ``None`` when one
@@ -258,7 +258,7 @@ def _chunk_lower_bound(
         chunk_span *= base
         free_digits += 1
     if free_digits == num_digits:
-        return free_digits, chunk_span, None
+        return chunk_span, None
     free_floor = float(head.min())
     for digit in range(1, free_digits):
         free_floor += float(rows[digit].min())
@@ -285,7 +285,7 @@ def _chunk_lower_bound(
             total += float(inter[edge_index, :, fixed[destination]].min())
         return total
 
-    return free_digits, chunk_span, bound
+    return chunk_span, bound
 
 
 def _sequential_row_sum(per_layer: np.ndarray) -> np.ndarray:
@@ -1013,7 +1013,7 @@ class CostTable:
         # result: the strict-< running minima scan codes in ascending
         # order, so any partition of that order yields the identical
         # winner.
-        _, chunk_span, bound = _chunk_lower_bound(
+        chunk_span, bound = _chunk_lower_bound(
             com,
             self.intra[block_start : block_end + 1],
             self.inter,
@@ -1248,7 +1248,7 @@ class CostTable:
             (edge_index, source, destination)
             for edge_index, (source, destination) in enumerate(self.edges)
         ]
-        _, span, bound = _chunk_lower_bound(
+        span, bound = _chunk_lower_bound(
             self.intra[0], self.intra, self.inter, edges, self.num_strategies, chunk_size
         )
         if bound is None:
