@@ -226,8 +226,7 @@ def _exactness_shift(arrays: Sequence[np.ndarray], magnitude: float) -> int | No
 
 
 def _chunk_lower_bound(
-    head: np.ndarray,
-    rows: np.ndarray,
+    rows: Sequence[np.ndarray],
     inter: np.ndarray,
     local_edges: Sequence[tuple[int, int, int]],
     base: int,
@@ -235,13 +234,12 @@ def _chunk_lower_bound(
 ):
     """Digit-aligned chunking of a digit block plus a per-chunk lower bound.
 
-    Digit ``d`` of a pattern is the strategy code of row ``d``: row 0
-    costs ``head`` (a DAG segment's entering frontier, or layer 0's intra
-    row), later rows cost ``rows[d]``, and ``local_edges`` lists the
-    block's ``(edge_index, source_digit, destination_digit)`` in ascending
-    edge order.  The ``free_digits`` lowest digits vary inside a chunk of
-    ``chunk_span = base**free_digits <= chunk_limit`` patterns; the high
-    digits are fixed per chunk.
+    Digit ``d`` of a pattern is the strategy code of row ``d``, which
+    costs ``rows[d]`` (a DAG segment's row 0 is its entering frontier),
+    and ``local_edges`` lists the block's ``(edge_index, source_digit,
+    destination_digit)`` in ascending edge order.  The ``free_digits``
+    lowest digits vary inside a chunk of ``chunk_span = base**free_digits
+    <= chunk_limit`` patterns; the high digits are fixed per chunk.
 
     Returns ``(chunk_span, bound)``.  ``bound(chunk)`` prices
     chunk ``chunk``'s fixed digits exactly and every free term by its
@@ -251,7 +249,7 @@ def _chunk_lower_bound(
     differently from the exact scorers, so callers compare it under
     :data:`_PRUNE_MARGIN`.
     """
-    num_digits = rows.shape[0]
+    num_digits = len(rows)
     free_digits = 0
     chunk_span = 1
     while free_digits < num_digits and chunk_span * base <= chunk_limit:
@@ -259,8 +257,8 @@ def _chunk_lower_bound(
         free_digits += 1
     if free_digits == num_digits:
         return chunk_span, None
-    free_floor = float(head.min())
-    for digit in range(1, free_digits):
+    free_floor = 0.0
+    for digit in range(free_digits):
         free_floor += float(rows[digit].min())
     fixed_edges = []
     cross_edges = []
@@ -278,7 +276,7 @@ def _chunk_lower_bound(
         )[0]
         total = free_floor
         for digit in range(free_digits, num_digits):
-            total += float(rows[digit, fixed[digit - free_digits]])
+            total += float(rows[digit][fixed[digit - free_digits]])
         for edge_index, source, destination in fixed_edges:
             total += float(inter[edge_index, fixed[source], fixed[destination]])
         for edge_index, destination in cross_edges:
@@ -1014,8 +1012,7 @@ class CostTable:
         # order, so any partition of that order yields the identical
         # winner.
         chunk_span, bound = _chunk_lower_bound(
-            com,
-            self.intra[block_start : block_end + 1],
+            [com, *self.intra[block_start + 1 : block_end + 1]],
             self.inter,
             block_edges,
             num_strategies,
@@ -1249,7 +1246,7 @@ class CostTable:
             for edge_index, (source, destination) in enumerate(self.edges)
         ]
         span, bound = _chunk_lower_bound(
-            self.intra[0], self.intra, self.inter, edges, self.num_strategies, chunk_size
+            self.intra, self.inter, edges, self.num_strategies, chunk_size
         )
         if bound is None:
             # One chunk covers the space; nothing to prune against.

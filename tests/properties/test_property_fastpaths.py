@@ -158,13 +158,19 @@ class TestDominancePruning:
         pruned = table.argmin_assignment(prune=True)
         assert pruned == plain
 
-    @settings(max_examples=30, deadline=None)
-    @given(tensors=short_chains())
-    def test_pruned_argmin_with_dp_incumbent_matches(self, tensors):
-        table = CostTable.from_tensors(tensors)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tensors=short_chains(),
+        space=st.sampled_from(["dp,mp", "dp,mp,pp"]),
+        chunk=st.sampled_from([None, 1, 2]),
+    )
+    def test_pruned_argmin_with_dp_incumbent_matches(self, tensors, space, chunk):
+        # Chunks of 1 or 2 patterns fix every digit, so the bound must
+        # price layer 0 exactly once; the DP total is a tight incumbent.
+        table = CostTable.from_tensors(tensors, strategies=space)
         plain = table.argmin_assignment()
         upper = table.dp_partition().communication_bytes
-        pruned = table.argmin_assignment(prune=True, upper_bound=upper)
+        pruned = table.argmin_assignment(prune=True, chunk_size=chunk, upper_bound=upper)
         assert pruned == plain
 
     @settings(max_examples=25, deadline=None)
